@@ -187,9 +187,7 @@ BM_ShardedWindows(benchmark::State &state)
     // Conservative-window overhead of the sharded engine: a ring of
     // shards exchanging mailbox messages every lookahead interval —
     // the pure coordination cost (window bounds, barrier, merge,
-    // injection) with trivial event bodies.  Serial (workers=1), so
-    // the number measures window mechanics rather than thread
-    // scaling, which a 1-core CI box could not see anyway.
+    // injection) with trivial event bodies.
     const int shards = static_cast<int>(state.range(0));
     const mpress::sim::Tick lookahead = 1000;
     const int hops = 2000;
@@ -218,7 +216,7 @@ BM_ShardedWindows(benchmark::State &state)
             }
         } hopper{group, raw, hops};
         raw[0]->schedule(0, [&hopper] { hopper.hop(0); });
-        group.run(1);
+        group.run();
         windows += group.windowsRun();
         group.reset();
     }

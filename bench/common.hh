@@ -29,8 +29,14 @@
 #include <string>
 
 #include "api/session.hh"
+#include "util/pool.hh"
 #include "util/strings.hh"
 #include "util/table.hh"
+
+/** CMAKE_BUILD_TYPE of the bench build (set by bench/CMakeLists.txt). */
+#ifndef MPRESS_BUILD_TYPE
+#define MPRESS_BUILD_TYPE "unknown"
+#endif
 
 namespace mpress {
 namespace bench {
@@ -45,8 +51,10 @@ namespace bench {
  * $MPRESS_GIT_REV / $MPRESS_BENCH_DATE.  When an override is absent
  * the revision falls back to `git rev-parse --short HEAD` and the
  * date to the current UTC day, so ad-hoc runs stamp real provenance;
- * "unknown" appears only outside a git checkout.  Maps keep the
- * output sorted and therefore diffable.
+ * "unknown" appears only outside a git checkout.  The host stamp
+ * (hardware threads, CPU model, build type) sits beside them, so a
+ * baseline says which machine it describes.  Maps keep the output
+ * sorted and therefore diffable.
  */
 class BenchReport
 {
@@ -76,6 +84,11 @@ class BenchReport
         out << "  \"suite\": \"" << escaped(_suite) << "\",\n";
         out << "  \"git_rev\": \"" << escaped(gitRev()) << "\",\n";
         out << "  \"date\": \"" << escaped(benchDate()) << "\",\n";
+        out << "  \"hardware_threads\": "
+            << util::ThreadPool::hardwareThreads() << ",\n";
+        out << "  \"cpu_model\": \"" << escaped(cpuModel()) << "\",\n";
+        out << "  \"build_type\": \"" << escaped(MPRESS_BUILD_TYPE)
+            << "\",\n";
         out << "  \"benchmarks\": {";
         const char *bench_sep = "\n";
         for (const auto &[bench, metrics] : _metrics) {
@@ -155,6 +168,25 @@ class BenchReport
             char buf[16];
             if (std::strftime(buf, sizeof buf, "%Y-%m-%d", &tm) > 0)
                 return buf;
+        }
+        return "unknown";
+    }
+
+    /** The first "model name" in /proc/cpuinfo, else "unknown". */
+    static std::string
+    cpuModel()
+    {
+        std::ifstream in("/proc/cpuinfo");
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.rfind("model name", 0) != 0)
+                continue;
+            std::size_t colon = line.find(':');
+            if (colon == std::string::npos)
+                break;
+            std::size_t start = line.find_first_not_of(" \t", colon + 1);
+            return start == std::string::npos ? "unknown"
+                                              : line.substr(start);
         }
         return "unknown";
     }

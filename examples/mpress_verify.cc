@@ -23,7 +23,7 @@
  *                             rules to the verification pass
  *
  * Exit status: 0 when the plan verifies clean of errors, 3 when it is
- * rejected, 1 on usage errors.
+ * rejected, 1 on usage errors, 2 on a malformed numeric flag value.
  */
 
 #include <cstdio>
@@ -34,12 +34,14 @@
 
 #include "api/session.hh"
 #include "compaction/serialize.hh"
+#include "util/strings.hh"
 
 namespace api = mpress::api;
 namespace cp = mpress::compaction;
 namespace hw = mpress::hw;
 namespace mm = mpress::model;
 namespace pl = mpress::pipeline;
+namespace mu = mpress::util;
 
 namespace {
 
@@ -50,6 +52,22 @@ usage(const char *msg)
                          " options)\n",
                  msg);
     std::exit(1);
+}
+
+/** Malformed numeric flag values exit 2, as in mpress_cli: a value
+ *  that does not parse is distinct from an unknown option (1). */
+int
+parseIntFlag(const char *flag, const std::string &text)
+{
+    int value = 0;
+    if (!mu::parseInt(text, &value)) {
+        std::fprintf(stderr,
+                     "mpress_verify: %s: malformed value '%s' (expected"
+                     " a number in range)\n",
+                     flag, text.c_str());
+        std::exit(2);
+    }
+    return value;
 }
 
 pl::SystemKind
@@ -92,11 +110,14 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--topology"))
             topology = need("--topology needs a value");
         else if (!std::strcmp(argv[i], "--microbatch"))
-            microbatch = std::stoi(need("--microbatch"));
+            microbatch = parseIntFlag("--microbatch",
+                                      need("--microbatch"));
         else if (!std::strcmp(argv[i], "--mb-per-mini"))
-            mb_per_mini = std::stoi(need("--mb-per-mini"));
+            mb_per_mini = parseIntFlag("--mb-per-mini",
+                                       need("--mb-per-mini"));
         else if (!std::strcmp(argv[i], "--minibatches"))
-            minibatches = std::stoi(need("--minibatches"));
+            minibatches = parseIntFlag("--minibatches",
+                                       need("--minibatches"));
         else if (!std::strcmp(argv[i], "--strict"))
             strict = true;
         else if (!std::strcmp(argv[i], "--analyze"))

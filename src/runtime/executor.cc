@@ -7,7 +7,6 @@
 #include "fault/injector.hh"
 #include "obs/export.hh"
 #include "util/logging.hh"
-#include "util/pool.hh"
 #include "util/strings.hh"
 
 namespace mpress {
@@ -77,7 +76,8 @@ struct Executor::Impl
     /** Spare-capacity grants, keyed by exporter GPU.  The map's
      *  structure is frozen after construction (lookups use find());
      *  each exporter's budgets are only mutated from events on the
-     *  exporter's own shard, so distinct nodes never race. */
+     *  exporter's own shard, so no result depends on the order the
+     *  shards advance within a window. */
     std::map<int, std::vector<compaction::SpareGrant>> grantsLeft;
 
     // Schedule progress.  Element g/s/id is only written by events on
@@ -106,9 +106,10 @@ struct Executor::Impl
      * Everything a node's shard mutates from its own events.  The
      * sharding rule is the node boundary: an instance's exporter GPU
      * fixes the node that owns its swap metadata, fault draws, trace
-     * and observability records, so no lock is ever needed.  On
-     * single-node topologies there is exactly one NodeState and the
-     * run is byte-identical to the historical single-engine executor.
+     * and observability records, so no shard reads another shard's
+     * state mid-window.  On single-node topologies there is exactly
+     * one NodeState and the run is byte-identical to the historical
+     * single-engine executor.
      */
     struct NodeState
     {
@@ -379,7 +380,7 @@ struct Executor::Impl
      * otherwise.  Single-node topologies use one engine and no group;
      * multi-node topologies always get one engine per node plus a
      * ShardGroup — the window structure is part of the simulation's
-     * semantics, so it exists even when run with one worker.
+     * semantics.
      */
     void
     setupEngines()
@@ -490,24 +491,6 @@ struct Executor::Impl
         else
             engines[0]->shrink();
         fabric->shrink();
-    }
-
-    /** Shard workers for a multi-node run: the config knob, or one
-     *  per node capped at the hardware concurrency. */
-    int
-    resolveWorkers() const
-    {
-        int hw_threads = util::ThreadPool::hardwareThreads();
-        if (hw_threads < 1)
-            hw_threads = 1;
-        int w = cfg.simShards;
-        if (w <= 0)
-            w = std::min(numNodes, hw_threads);
-        if (w < 1)
-            w = 1;
-        if (w > numNodes)
-            w = numNodes;
-        return w;
     }
 
     /** Arm the injectors: count the schedule, install the fabric
@@ -1946,7 +1929,7 @@ struct Executor::Impl
                 });
             }
             if (group)
-                group->run(resolveWorkers());
+                group->run();
             else
                 engines[0]->run();
             detectDeadlock();

@@ -121,16 +121,6 @@ struct ExecutorConfig
     /** Delay before the first stripe retry; doubles per attempt. */
     util::Tick retryBackoff = 20 * util::kUsec;
 
-    /** Worker threads advancing the shards of a multi-node
-     *  simulation: 0 = auto (one per node, capped at the hardware
-     *  concurrency), 1 = serial windows, otherwise clamped to the
-     *  node count.  Purely a wall-clock knob: the conservative-window
-     *  structure depends only on the event set, so the report is
-     *  byte-identical at any value — the planner's trial-cache key
-     *  ignores this field, like @ref arena.  Single-node topologies
-     *  ignore it entirely. */
-    int simShards = 0;
-
     /** Reusable scratch (non-owning; null = self-contained run).  The
      *  arena must outlive the executor and must not be shared with a
      *  concurrently live executor.  Pure wall-clock/allocation

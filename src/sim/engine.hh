@@ -78,9 +78,9 @@ class Engine
      * before any local event — and fire in injection order.  The
      * sharded runner (sim::ShardGroup) injects each window's mailbox
      * in one canonical order, which makes the execution sequence a
-     * pure function of the event set, independent of shard or worker
-     * count.  Single-engine simulations never call this, so their
-     * event order is untouched.
+     * pure function of the event set, independent of the order the
+     * shards advance within a window.  Single-engine simulations
+     * never call this, so their event order is untouched.
      */
     template <typename F>
     void

@@ -20,19 +20,6 @@ ShardGroup::ShardGroup(std::vector<Engine *> engines, Tick lookahead)
     _outSeq.assign(_engines.size(), 0);
 }
 
-ShardGroup::~ShardGroup()
-{
-    if (!_team.empty()) {
-        {
-            std::lock_guard<std::mutex> lk(_mu);
-            _shutdown = true;
-        }
-        _cvStart.notify_all();
-        for (std::thread &t : _team)
-            t.join();
-    }
-}
-
 void
 ShardGroup::post(int src, int dst, Tick when, EventFn fn)
 {
@@ -69,7 +56,7 @@ ShardGroup::deliverPending()
         return;
     // Canonical delivery order: (when, srcShard, per-src seq) — a
     // total order over messages that depends only on what was posted,
-    // never on which worker drained which shard first.
+    // never on the order the shards ran within the window.
     std::stable_sort(_merge.begin(), _merge.end(),
                      [](const OutMsg &a, const OutMsg &b) {
                          if (a.when != b.when)
@@ -84,88 +71,12 @@ ShardGroup::deliverPending()
 }
 
 void
-ShardGroup::runShardsOf(int worker, int workers, Tick limit)
+ShardGroup::run()
 {
-    const int n = shards();
-    for (int s = worker; s < n; s += workers)
-        _engines[s]->runUntil(limit);
-}
-
-void
-ShardGroup::ensureTeam(int spawned)
-{
-    while (static_cast<int>(_team.size()) < spawned) {
-        int tid = static_cast<int>(_team.size()) + 1;
-        _team.emplace_back([this, tid] { workerLoop(tid); });
-    }
-}
-
-void
-ShardGroup::workerLoop(int tid)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        Tick limit = 0;
-        int workers = 0;
-        {
-            std::unique_lock<std::mutex> lk(_mu);
-            _cvStart.wait(lk, [&] {
-                return _shutdown || _generation != seen;
-            });
-            if (_shutdown)
-                return;
-            seen = _generation;
-            limit = _windowLimit;
-            workers = _curWorkers;
-        }
-        if (tid >= workers)
-            continue;  // parked this run (fewer workers requested)
-        runShardsOf(tid, workers, limit);
-        bool last = false;
-        {
-            std::lock_guard<std::mutex> lk(_mu);
-            last = --_pendingAcks == 0;
-        }
-        if (last)
-            _cvDone.notify_one();
-    }
-}
-
-void
-ShardGroup::runWindow(int workers, Tick limit)
-{
-    if (workers <= 1) {
-        runShardsOf(0, 1, limit);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lk(_mu);
-        _windowLimit = limit;
-        _curWorkers = workers;
-        _pendingAcks = workers - 1;
-        ++_generation;
-    }
-    _cvStart.notify_all();
-    runShardsOf(0, workers, limit);
-    std::unique_lock<std::mutex> lk(_mu);
-    _cvDone.wait(lk, [&] { return _pendingAcks == 0; });
-}
-
-void
-ShardGroup::run(int workers)
-{
-    const int n = shards();
-    workers = std::max(1, std::min(workers, n));
-    if (workers > 1)
-        ensureTeam(workers - 1);
     _haltedEarly = false;
     _windows = 0;
     for (;;) {
         deliverPending();
-        if (_stopFlag.load(std::memory_order_relaxed)) {
-            _haltedEarly = true;
-            break;
-        }
         Tick window = std::numeric_limits<Tick>::max();
         bool any = false;
         for (Engine *eng : _engines) {
@@ -183,12 +94,12 @@ ShardGroup::run(int workers)
         Tick horizon = window + _lookahead;
         _horizon = horizon;
         ++_windows;
-        runWindow(workers, horizon - 1);
         bool engineStopped = false;
-        for (Engine *eng : _engines)
+        for (Engine *eng : _engines) {
+            eng->runUntil(horizon - 1);
             engineStopped = engineStopped || eng->stopped();
-        if (engineStopped ||
-            _stopFlag.load(std::memory_order_relaxed)) {
+        }
+        if (engineStopped) {
             _haltedEarly = true;
             break;
         }
@@ -215,7 +126,6 @@ ShardGroup::reset()
     _outSeq.assign(_engines.size(), 0);
     _merge.clear();
     _horizon = 0;
-    _stopFlag.store(false, std::memory_order_relaxed);
     _haltedEarly = false;
     _windows = 0;
 }

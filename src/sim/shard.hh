@@ -1,42 +1,34 @@
 /**
  * @file
- * ShardGroup — conservative-window parallel execution of several
- * sim::Engine shards with deterministic cross-shard messaging.
+ * ShardGroup — conservative-window execution of several sim::Engine
+ * shards with deterministic cross-shard messaging.
  *
  * The sharding rule is the node boundary: each cluster node gets its
  * own engine (event heap + pooled slot arena), and anything that
  * crosses nodes rides the inter-node NIC, whose latency floor L is the
  * group's *lookahead*.  No event executed on one shard can affect a
- * peer shard sooner than L ticks later, so the group can safely
- * advance every shard through the window [W, W+L) in parallel, where
- * W is the earliest pending event across all shards.
+ * peer shard sooner than L ticks later, so the group advances every
+ * shard through the window [W, W+L) in turn, where W is the earliest
+ * pending event across all shards.
  *
  * Cross-shard effects travel as *messages*: post() appends to a
- * per-source outbox during the window (single writer per outbox — a
- * shard's events run on exactly one worker), and at the window barrier
- * the coordinator merges all outboxes in exact (when, srcShard,
- * per-src seq) order and injects them into the destination engines.
- * Injected messages occupy the engine's low sequence band, so at equal
- * ticks every message fires before any local event, in injection
- * order.  The window bounds, the merge order, and the injection band
- * are all pure functions of the event set — never of the worker
- * count — so a ShardGroup run is byte-identical at any worker count,
- * including workers == 1.
+ * per-source outbox during the window, and at the window barrier the
+ * group merges all outboxes in exact (when, srcShard, per-src seq)
+ * order and injects them into the destination engines.  Injected
+ * messages occupy the engine's low sequence band, so at equal ticks
+ * every message fires before any local event, in injection order.
+ * The window bounds, the merge order, and the injection band are all
+ * pure functions of the event set, so the per-shard execution order
+ * never depends on the order shards are advanced within a window.
  *
- * Determinism guarantee, precisely: two runs with the same shards and
- * the same scheduled work execute every callback at the same (engine,
- * tick, sequence) coordinate regardless of how many threads advance
- * the windows.
+ * The group is single-threaded on purpose: a window carries about a
+ * microsecond of events, less than any thread handoff costs.
  */
 
 #ifndef MPRESS_SIM_SHARD_HH
 #define MPRESS_SIM_SHARD_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -48,9 +40,6 @@ namespace sim {
  * Advances a fixed set of engine shards in conservative time windows.
  *
  * The engines are owned by the caller and must outlive the group.
- * Worker threads are spawned lazily on the first run() with
- * workers > 1 and persist (parked) across runs; workers == 1 is a
- * pure inline loop that never touches a thread or lock.
  */
 class ShardGroup
 {
@@ -63,7 +52,6 @@ class ShardGroup
      *                   least L after the event that posts it
      */
     ShardGroup(std::vector<Engine *> engines, Tick lookahead);
-    ~ShardGroup();
 
     ShardGroup(const ShardGroup &) = delete;
     ShardGroup &operator=(const ShardGroup &) = delete;
@@ -85,23 +73,14 @@ class ShardGroup
 
     /**
      * Run every shard to completion (all heaps empty) or until a
-     * shard stops / requestStop() is seen, using @p workers threads
-     * (clamped to [1, shards()]; the calling thread is worker 0).
-     * Stop is window-granular: all shards finish the current window
-     * before the group halts, which keeps the executed event set
-     * deterministic.
+     * shard engine stops.  Stop is window-granular: all shards finish
+     * the current window before the group halts, which keeps the
+     * executed event set deterministic.
      */
-    void run(int workers);
+    void run();
 
-    /** Ask run() to halt at the next window boundary.  Safe to call
-     *  from inside a simulated event on any shard. */
-    void requestStop()
-    {
-        _stopFlag.store(true, std::memory_order_relaxed);
-    }
-
-    /** True when the last run() halted early (requestStop() or a
-     *  shard engine's stop()). */
+    /** True when the last run() halted early (a shard engine's
+     *  stop()). */
     bool stopped() const { return _haltedEarly; }
 
     /** Latest simulated time across shards (the group makespan). */
@@ -128,37 +107,17 @@ class ShardGroup
     };
 
     void deliverPending();
-    void runWindow(int workers, Tick limit);
-    void runShardsOf(int worker, int workers, Tick limit);
-    void ensureTeam(int spawned);
-    void workerLoop(int tid);
 
     std::vector<Engine *> _engines;
     Tick _lookahead;
 
-    /// One outbox per source shard; appended to only by the worker
-    /// running that shard, drained by the coordinator at barriers.
+    /// One outbox per source shard, drained at window barriers.
     std::vector<std::vector<OutMsg>> _outbox;
     std::vector<std::uint64_t> _outSeq;
     std::vector<OutMsg> _merge;  ///< scratch for the barrier merge
     Tick _horizon = 0;           ///< current window's exclusive bound
-    std::atomic<bool> _stopFlag{false};
     bool _haltedEarly = false;
     std::uint64_t _windows = 0;
-
-    // Generation-stepped worker team (spawned lazily, parked between
-    // windows).  The mutex hand-off at window start/end provides the
-    // happens-before edges between the coordinator's mailbox writes
-    // and the workers' engine advances.
-    std::vector<std::thread> _team;
-    std::mutex _mu;
-    std::condition_variable _cvStart;
-    std::condition_variable _cvDone;
-    std::uint64_t _generation = 0;
-    Tick _windowLimit = 0;
-    int _curWorkers = 0;  ///< workers participating this generation
-    int _pendingAcks = 0;
-    bool _shutdown = false;
 };
 
 } // namespace sim

@@ -1,7 +1,8 @@
 /**
  * @file
- * Regression tests driving the real mpress_cli binary (path injected
- * as MPRESS_CLI_PATH at compile time).
+ * Regression tests driving the real mpress_cli and mpress-verify
+ * binaries (paths injected as MPRESS_CLI_PATH / MPRESS_VERIFY_PATH at
+ * compile time).
  *
  * The exit-code contract is part of the CLI's interface:
  *   0  success
@@ -39,13 +40,12 @@ struct RunResult
     std::string output;  ///< stdout + stderr, interleaved
 };
 
-/** Run the CLI with @p args, capturing output and exit status. */
+/** Run @p binary with @p args, capturing output and exit status. */
 RunResult
-runCli(const std::string &args)
+runBinary(const char *binary, const std::string &args)
 {
     RunResult res;
-    std::string cmd =
-        std::string(MPRESS_CLI_PATH) + " " + args + " 2>&1";
+    std::string cmd = std::string(binary) + " " + args + " 2>&1";
     FILE *p = ::popen(cmd.c_str(), "r");
     if (p == nullptr) {
         ADD_FAILURE() << "popen failed for: " << cmd;
@@ -60,6 +60,12 @@ runCli(const std::string &args)
     return res;
 }
 
+RunResult
+runCli(const std::string &args)
+{
+    return runBinary(MPRESS_CLI_PATH, args);
+}
+
 } // namespace
 
 TEST(CliExitCodes, MalformedIntFlagValueExits2)
@@ -72,6 +78,23 @@ TEST(CliExitCodes, MalformedIntFlagValueExits2)
           "--mb-per-mini 1.5", "--minibatches --threads",
           "--threads 0x10"}) {
         RunResult res = runCli(args);
+        EXPECT_EQ(res.exitCode, 2) << args << "\n" << res.output;
+        EXPECT_NE(res.output.find("malformed value"),
+                  std::string::npos)
+            << args << "\n" << res.output;
+    }
+}
+
+TEST(CliExitCodes, VerifyMalformedIntFlagValueExits2)
+{
+    // mpress-verify parses the same job flags (it has no --threads);
+    // these used to abort it with an uncaught std::stoi exception.
+    for (const char *args :
+         {"--microbatch banana", "--microbatch ''",
+          "--microbatch 2x", "--microbatch 99999999999999999999",
+          "--mb-per-mini 1.5", "--minibatches --threads"}) {
+        RunResult res = runBinary(MPRESS_VERIFY_PATH,
+                                  std::string("--plan x ") + args);
         EXPECT_EQ(res.exitCode, 2) << args << "\n" << res.output;
         EXPECT_NE(res.output.find("malformed value"),
                   std::string::npos)

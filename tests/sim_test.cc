@@ -5,10 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -314,7 +312,7 @@ TEST(Stream, NameIsAViewOfOwnedStorage)
 }
 
 // ---------------------------------------------------------------
-// ShardGroup — conservative-window parallel shards
+// ShardGroup — conservative-window shards
 // ---------------------------------------------------------------
 
 using mpress::sim::ShardGroup;
@@ -344,7 +342,7 @@ TEST(ShardGroup, CrossShardMessageFiresAtItsTick)
         s.group.post(0, 1, s.a.now() + 10,
                      [&] { fired.push_back({1, s.b.now()}); });
     });
-    s.group.run(1);
+    s.group.run();
     ASSERT_EQ(fired.size(), 2u);
     EXPECT_EQ(fired[0], (std::pair<int, Tick>{0, 5}));
     EXPECT_EQ(fired[1], (std::pair<int, Tick>{1, 15}));
@@ -365,7 +363,7 @@ TEST(ShardGroup, MessageExactlyAtTheLookaheadHorizonFires)
         s.group.post(0, 1, s.a.now() + 7,
                      [&] { fired_at = s.b.now(); });
     });
-    s.group.run(1);
+    s.group.run();
     EXPECT_EQ(fired_at, 10);
     EXPECT_EQ(s.group.maxNow(), 100);
 }
@@ -383,27 +381,28 @@ TEST(ShardGroup, ZeroLatencySelfSendUsesTheEngineDirectly)
         s.a.scheduleIn(0, [&] { order.push_back(3); });
     });
     s.b.schedule(50, [] {});
-    s.group.run(1);
+    s.group.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(ShardGroup, StopMidWindowIsWindowGranular)
 {
-    // requestStop() from inside an event halts at the next window
-    // boundary: every shard finishes the current window, nothing in
-    // later windows runs, and stopped() reports the early halt.
+    // A shard engine's stop() from inside an event halts the group
+    // at the next window boundary: every shard finishes the current
+    // window, nothing in later windows runs, and stopped() reports
+    // the early halt.
     TwoShards s(10);
     std::vector<int> fired;
     s.a.schedule(1, [&] {
         fired.push_back(1);
-        s.group.requestStop();
+        s.a.stop();
     });
     // Same window (ticks [1, 11)): must still run.
     s.b.schedule(5, [&] { fired.push_back(2); });
     // Next window: must not run.
     s.a.schedule(40, [&] { fired.push_back(3); });
     s.b.schedule(41, [&] { fired.push_back(4); });
-    s.group.run(1);
+    s.group.run();
     EXPECT_TRUE(s.group.stopped());
     EXPECT_EQ(fired, (std::vector<int>{1, 2}));
 }
@@ -428,50 +427,8 @@ TEST(ShardGroup, MergeOrderIsWhenThenSourceThenSeq)
     // A local event on the destination at the same tick: injected
     // messages occupy the low sequence band, so it fires last.
     c.schedule(10, [&] { order.push_back(99); });
-    group.run(1);
+    group.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 99}));
-}
-
-TEST(ShardGroup, IdenticalAtAnyWorkerCount)
-{
-    // A three-shard ping-pong mesh with same-tick collisions: each
-    // shard's executed (tick, tag) sequence must be byte-identical
-    // for 1, 2 and 3 workers.  (Only the per-shard order is defined;
-    // a global interleaving across concurrent shards is not — and a
-    // shared trace vector would be a data race under workers > 1.)
-    auto run = [](int workers) {
-        Engine e0, e1, e2;
-        ShardGroup group({&e0, &e1, &e2}, 3);
-        std::vector<std::tuple<Tick, int>> trace[3];
-        Engine *engines[3] = {&e0, &e1, &e2};
-        std::function<void(int, int, int)> hop =
-            [&](int src, int hops, int tag) {
-                trace[src].emplace_back(engines[src]->now(), tag);
-                if (hops == 0)
-                    return;
-                int dst = (src + 1) % 3;
-                group.post(src, dst, engines[src]->now() + 3,
-                           [&, dst, hops, tag] {
-                               hop(dst, hops - 1, tag);
-                           });
-            };
-        for (int tag = 0; tag < 4; ++tag) {
-            engines[tag % 3]->schedule(tag % 2, [&, tag] {
-                hop(tag % 3, 5, tag);
-            });
-        }
-        group.run(workers);
-        std::vector<std::tuple<int, Tick, int>> flat;
-        for (int s = 0; s < 3; ++s) {
-            for (auto &[tick, tag] : trace[s])
-                flat.emplace_back(s, tick, tag);
-        }
-        return flat;
-    };
-    auto one = run(1);
-    EXPECT_EQ(one.size(), 24u);
-    EXPECT_EQ(run(2), one);
-    EXPECT_EQ(run(3), one);
 }
 
 TEST(ShardGroup, ResetRetainsSlabsAndReplaysIdentically)
@@ -488,13 +445,13 @@ TEST(ShardGroup, ResetRetainsSlabsAndReplaysIdentically)
     };
     std::vector<Tick> first, second;
     load(&first);
-    group.run(2);
+    group.run();
     EXPECT_GE(group.windowsRun(), 1u);
     group.reset();
     EXPECT_EQ(a.now(), 0);
     EXPECT_EQ(b.now(), 0);
     load(&second);
-    group.run(1);
+    group.run();
     EXPECT_EQ(first, second);
     group.reset();
     group.shrink();

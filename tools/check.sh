@@ -302,6 +302,13 @@ if [ "$run_perf" = 1 ]; then
         -DCMAKE_INTERPROCEDURAL_OPTIMIZATION=ON >/dev/null
     cmake --build build-perf -j "$jobs" --target bench_sim_micro
     perf=$(mktemp -d)
+    # A self-gating bench that exits non-zero prints its captured
+    # output, so the failing gate is named in the CI log.
+    bench_failed() {
+        echo "$1 failed; its output:" >&2
+        cat "$perf/$1.log" >&2
+        exit 1
+    }
     MPRESS_BENCH_DIR="$perf" \
     MPRESS_GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
     MPRESS_BENCH_DATE=$(date -u +%Y-%m-%d) \
@@ -343,7 +350,9 @@ EOF
     MPRESS_BENCH_DIR="$perf" \
     MPRESS_GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
     MPRESS_BENCH_DATE=$(date -u +%Y-%m-%d) \
-        ./build-perf/bench/bench_planner_search >/dev/null
+        ./build-perf/bench/bench_planner_search \
+        >"$perf/bench_planner_search.log" 2>&1 ||
+        bench_failed bench_planner_search
     python3 - "$perf/BENCH_planner.json" <<'EOF'
 import json, sys
 b = json.load(open(sys.argv[1]))["benchmarks"]
@@ -373,7 +382,9 @@ EOF
     MPRESS_BENCH_DIR="$perf" \
     MPRESS_GIT_REV=$(git rev-parse --short HEAD 2>/dev/null || echo unknown) \
     MPRESS_BENCH_DATE=$(date -u +%Y-%m-%d) \
-        ./build-perf/bench/bench_cluster_scale >/dev/null
+        ./build-perf/bench/bench_cluster_scale \
+        >"$perf/bench_cluster_scale.log" 2>&1 ||
+        bench_failed bench_cluster_scale
     python3 - "$perf/BENCH_cluster.json" BENCH_cluster.json <<'EOF'
 import json, sys
 fresh = json.load(open(sys.argv[1]))["benchmarks"]
