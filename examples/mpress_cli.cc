@@ -26,9 +26,10 @@
  *     --microbatch <n>        per-microbatch samples [12]
  *     --mb-per-mini <n>       microbatches per minibatch [8]
  *     --minibatches <n>       training window length [2]
+ *                             (each of the three in 1..4096)
  *     --threads <n>           worker threads for the planner's
  *                             emulator-feedback search, and for
- *                             running sweep scenarios [1]
+ *                             running sweep scenarios [1, max 256]
  *     --analyze               print the static analysis certificate
  *                             of the executed plan (per-GPU
  *                             peak-memory intervals, latency lower
@@ -46,7 +47,7 @@
  *     --deadline-ms <ms>      anytime budget for the refinement
  *                             race, checked between wavefront
  *                             rounds; always returns a verified
- *                             plan [0 = no deadline]
+ *                             plan [0 = no deadline, max 1e9]
  *     --save-plan <file>      write the executed plan (plan format)
  *     --load-plan <file>      run a previously saved plan instead of
  *                             planning (forces a custom strategy)
@@ -96,18 +97,29 @@
  *     --sweep-csv <file>      also write the report as CSV
  *
  *   The spec is {"scenarios":[{...},...]}; each scenario object may
- *   set "name", "model", "system", "strategy", "topology",
- *   "microbatch", "mbPerMini", "minibatches", "verifyMode" — any
- *   omitted field inherits the corresponding command-line option.
- *   Report rows keep spec order whatever the thread count.
+ *   set "name" plus any api::JobSpec field ("model", "topology",
+ *   "cluster", "system", "strategy", "verifyMode", "microbatch",
+ *   "mbPerMini", "minibatches", "threads", "portfolio",
+ *   "analyticPrune", "deadlineMs"), strictly typed and bounded as in
+ *   the job flags; any omitted field inherits the command-line
+ *   option, except "threads", which defaults to 1 (--threads sizes
+ *   the scenario pool).  Every scenario is read and resolved before
+ *   any runs.  Report rows keep spec order whatever the thread count.
  *
- * Exit status: 0 on success, 3 on plan rejected by verification,
- * 1 on usage/spec errors, 2 on a malformed flag value (a numeric
- * flag that does not parse or is out of range) — and 2 on OOM of a
- * single run (a malformed flag never starts a run, so the phases
- * cannot be confused).
+ * The job flags (--model .. --deadline-ms, --verify-mode) are read
+ * by api::readJobFlag and bound by api::resolveJob, the same reader
+ * and resolver mpress-serve and mpress-verify use.
+ *
+ * Exit status: 0 on success; 1 on usage/spec errors, including a
+ * value that parses but is out of bounds, an unknown name, or a job
+ * shape that cannot be built (more GPUs than model layers); 2 on a
+ * malformed flag value (a numeric flag that does not parse) — and 2
+ * on OOM of a single run (a malformed flag never starts a run, so
+ * the phases cannot be confused); 3 on a plan, cluster spec or fault
+ * scenario rejected by verification.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -117,12 +129,11 @@
 #include <string>
 #include <vector>
 
+#include "api/job.hh"
 #include "api/session.hh"
-#include "cluster/cluster.hh"
 #include "compaction/serialize.hh"
 #include "fault/scenario.hh"
 #include "obs/export.hh"
-#include "planner/search.hh"
 #include "util/json.hh"
 #include "util/pool.hh"
 #include "util/strings.hh"
@@ -132,9 +143,7 @@ namespace api = mpress::api;
 namespace cp = mpress::compaction;
 namespace ft = mpress::fault;
 namespace hw = mpress::hw;
-namespace mm = mpress::model;
 namespace mu = mpress::util;
-namespace pl = mpress::pipeline;
 namespace rt = mpress::runtime;
 namespace vf = mpress::verify;
 
@@ -149,212 +158,30 @@ usage(const char *msg)
     std::exit(1);
 }
 
-/** Malformed flag *values* exit 2 (vs 1 for unknown flags), so
- *  scripts can tell "you typo'd an option" from "that value does not
- *  parse". */
+/** Report a job reader / resolver failure and exit with its status
+ *  (the JobErrorKind value: 2 malformed value, 1 invalid job, 3
+ *  rejected cluster spec). */
 [[noreturn]] void
-badValue(const char *flag, const std::string &got)
+failJob(const api::JobError &err, const std::string &where = "")
 {
-    std::fprintf(stderr,
-                 "mpress_cli: %s: malformed value '%s' (expected a"
-                 " number in range)\n",
-                 flag, got.c_str());
-    std::exit(2);
+    std::fprintf(stderr, "mpress_cli: %s%s\n", where.c_str(),
+                 err.message.c_str());
+    std::exit(static_cast<int>(err.kind));
 }
 
-/** Checked std::stoi replacement: a malformed or out-of-range value
- *  is a usage error, never an uncaught std::invalid_argument. */
-int
-parseIntFlag(const char *flag, const std::string &text)
+/** api::resolveJob, printing any cluster-spec findings to stderr;
+ *  exits on failure. */
+api::ResolvedJob
+resolveOrExit(const api::JobSpec &job, const std::string &where = "")
 {
-    int value = 0;
-    if (!mu::parseInt(text, &value))
-        badValue(flag, text);
-    return value;
-}
-
-double
-parseDoubleFlag(const char *flag, const std::string &text)
-{
-    double value = 0.0;
-    if (!mu::parseDouble(text, &value))
-        badValue(flag, text);
-    return value;
-}
-
-pl::SystemKind
-parseSystem(const std::string &name)
-{
-    pl::SystemKind kind;
-    if (!api::systemKindFromName(name, &kind))
-        usage("unknown --system");
-    return kind;
-}
-
-api::Strategy
-parseStrategy(const std::string &name)
-{
-    api::Strategy strategy;
-    if (!api::strategyFromName(name, &strategy))
-        usage("unknown --strategy");
-    return strategy;
-}
-
-api::VerifyMode
-parseVerifyMode(const std::string &name)
-{
-    api::VerifyMode mode;
-    if (!api::verifyModeFromName(name, &mode))
-        usage("unknown --verify-mode");
-    return mode;
-}
-
-hw::Topology
-parseTopology(const std::string &name)
-{
-    std::optional<hw::Topology> topo = api::topologyFromName(name);
-    if (!topo)
-        usage("--topology must be dgx1, dgx2 or a cluster preset"
-              " (e.g. 2x-dgx2)");
-    return *topo;
-}
-
-namespace cl = mpress::cluster;
-
-std::string readFile(const std::string &path, const char *what);
-
-/**
- * Resolve --cluster: a preset name or a JSON spec file, gated by
- * verify::verifyClusterSpec exactly like --faults gates scenarios —
- * findings go to stderr and a rejected spec exits 3 without building
- * anything.
- */
-hw::Topology
-parseCluster(const std::string &arg)
-{
-    cl::ClusterSpec spec;
-    if (std::optional<cl::ClusterSpec> preset =
-            cl::clusterByName(arg)) {
-        spec = *preset;
-    } else {
-        cl::ParsedClusterSpec parsed = cl::parseClusterSpec(
-            readFile(arg, "cannot read --cluster file"));
-        if (!parsed.ok) {
-            std::fprintf(stderr,
-                         "mpress_cli: bad cluster spec: %s\n",
-                         parsed.error.c_str());
-            std::exit(1);
-        }
-        spec = parsed.spec;
-    }
-    vf::Report report = vf::verifyClusterSpec(spec);
-    if (!report.clean())
-        std::fputs(report.render().c_str(), stderr);
-    if (!report.ok()) {
-        std::fprintf(stderr, "cluster spec \"%s\" rejected: %s\n",
-                     spec.name.c_str(), report.summary().c_str());
-        std::exit(3);
-    }
-    return cl::buildCluster(spec);
-}
-
-/** One sweep scenario: the base CLI options overridden by one spec
- *  object's fields. */
-struct Scenario
-{
-    std::string name;
-    std::string model, system, strategy, topology, verifyMode;
-    int microbatch, mbPerMini, minibatches;
-};
-
-/** Parse the --sweep spec; exits with a message on malformed input. */
-std::vector<Scenario>
-parseSweepSpec(const std::string &path, const Scenario &defaults)
-{
-    std::ifstream in(path);
-    if (!in)
-        usage("cannot read --sweep file");
-    std::stringstream buf;
-    buf << in.rdbuf();
-    mu::ParsedJson doc = mu::jsonParse(buf.str());
-    if (!doc.ok) {
-        std::fprintf(stderr, "mpress_cli: bad sweep spec: %s\n",
-                     doc.error.c_str());
-        std::exit(1);
-    }
-    const mu::JsonValue *list = doc.value.find("scenarios");
-    if (!list || !list->isArray() || list->items().empty())
-        usage("sweep spec needs a non-empty \"scenarios\" array");
-
-    std::vector<Scenario> out;
-    for (const auto &item : list->items()) {
-        if (!item.isObject())
-            usage("every sweep scenario must be a JSON object");
-        Scenario s = defaults;
-        s.model = item.stringOr("model", defaults.model);
-        s.system = item.stringOr("system", defaults.system);
-        s.strategy = item.stringOr("strategy", defaults.strategy);
-        s.topology = item.stringOr("topology", defaults.topology);
-        s.verifyMode =
-            item.stringOr("verifyMode", defaults.verifyMode);
-        s.microbatch = static_cast<int>(item.numberOr(
-            "microbatch", defaults.microbatch));
-        s.mbPerMini = static_cast<int>(
-            item.numberOr("mbPerMini", defaults.mbPerMini));
-        s.minibatches = static_cast<int>(item.numberOr(
-            "minibatches", defaults.minibatches));
-        s.name = item.stringOr(
-            "name", s.model + "/" + s.system + "/" + s.strategy +
-                        "/" + s.topology);
-        out.push_back(std::move(s));
-    }
-    return out;
-}
-
-/** Run every scenario across the pool; rows come back in spec order
- *  regardless of which worker finished first. */
-std::vector<mpress::obs::SweepRow>
-runSweep(const std::vector<Scenario> &scenarios, int threads)
-{
-    std::vector<mpress::obs::SweepRow> rows(scenarios.size());
-    mu::ThreadPool pool(threads);
-    pool.parallelFor(scenarios.size(), [&](std::size_t i) {
-        const Scenario &s = scenarios[i];
-        // Each scenario builds its own topology and session; the
-        // planner inside runs serially — the sweep parallelizes
-        // across scenarios, not within one.
-        hw::Topology topo = parseTopology(s.topology);
-        api::SessionConfig cfg;
-        cfg.model = mm::presetByName(s.model);
-        cfg.microbatch = s.microbatch;
-        cfg.system = parseSystem(s.system);
-        cfg.numStages = topo.numGpus();
-        cfg.microbatchesPerMinibatch = s.mbPerMini;
-        cfg.minibatches = s.minibatches;
-        cfg.strategy = parseStrategy(s.strategy);
-        cfg.verifyMode = parseVerifyMode(s.verifyMode);
-
-        auto t0 = std::chrono::steady_clock::now();
-        api::SessionResult result = api::runSession(topo, cfg);
-        auto t1 = std::chrono::steady_clock::now();
-
-        mpress::obs::SweepRow &row = rows[i];
-        row.name = s.name;
-        row.model = s.model;
-        row.system = s.system;
-        row.strategy = s.strategy;
-        row.topology = s.topology;
-        row.oom = result.oom;
-        row.rejected = result.rejected;
-        row.samplesPerSec = result.samplesPerSec;
-        row.tflops = result.tflops;
-        row.maxGpuPeak = result.maxGpuPeak;
-        row.planIterations = result.planResult.iterations;
-        row.planMs =
-            std::chrono::duration<double, std::milli>(t1 - t0)
-                .count();
-    });
-    return rows;
+    api::JobError err;
+    std::string findings;
+    std::optional<api::ResolvedJob> resolved =
+        api::resolveJob(job, &err, &findings);
+    std::fputs(findings.c_str(), stderr);
+    if (!resolved)
+        failJob(err, where);
+    return std::move(*resolved);
 }
 
 /** Slurp @p path; exits with @p what in the message on failure. */
@@ -367,6 +194,96 @@ readFile(const std::string &path, const char *what)
     std::stringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** One sweep scenario: its report labels and its resolved job. */
+struct Scenario
+{
+    std::string name;
+    std::string topology;  ///< preset name, or the cluster's name
+    api::JobSpec job;
+    api::ResolvedJob resolved;
+};
+
+/**
+ * Read and resolve every --sweep scenario before any runs; each is
+ * @p defaults overridden by one spec object's job fields.  Exits
+ * with a message naming the scenario index on malformed input.
+ */
+std::vector<Scenario>
+readSweepSpec(const std::string &path, const api::JobSpec &defaults)
+{
+    mu::ParsedJson doc =
+        mu::jsonParse(readFile(path, "cannot read --sweep file"));
+    if (!doc.ok) {
+        std::fprintf(stderr, "mpress_cli: bad sweep spec: %s\n",
+                     doc.error.c_str());
+        std::exit(1);
+    }
+    const mu::JsonValue *list = doc.value.find("scenarios");
+    if (!list || !list->isArray() || list->items().empty())
+        usage("sweep spec needs a non-empty \"scenarios\" array");
+
+    std::vector<Scenario> out;
+    for (std::size_t i = 0; i < list->items().size(); ++i) {
+        const mu::JsonValue &item = list->items()[i];
+        const std::string where =
+            mu::strformat("sweep scenario %zu: ", i);
+        api::JobSpec job = defaults;
+        std::string err;
+        if (!item.isObject())
+            err = "must be a JSON object";
+        else
+            api::readJobJson(item, &job, &err);
+        if (!err.empty())
+            failJob({api::JobErrorKind::Invalid, err}, where);
+        api::ResolvedJob resolved = resolveOrExit(job, where);
+        std::string topology =
+            job.cluster.empty() ? job.topology : resolved.topo.name();
+        std::string name = job.model + "/" + job.system + "/" +
+                           job.strategy + "/" + topology;
+        if (!api::getString(item, "name", &name, &err))
+            failJob({api::JobErrorKind::Invalid, err}, where);
+        out.push_back({std::move(name), std::move(topology),
+                       std::move(job), std::move(resolved)});
+    }
+    return out;
+}
+
+/** Run every scenario across the pool; rows come back in spec order
+ *  regardless of which worker finished first. */
+std::vector<mpress::obs::SweepRow>
+runSweep(const std::vector<Scenario> &scenarios, int threads)
+{
+    std::vector<mpress::obs::SweepRow> rows(scenarios.size());
+    mu::ThreadPool pool(
+        std::min(threads, mu::ThreadPool::hardwareThreads()));
+    pool.parallelFor(scenarios.size(), [&](std::size_t i) {
+        // Each scenario plans on its own "threads" (1 by default):
+        // the sweep parallelizes across scenarios, not within one.
+        const Scenario &s = scenarios[i];
+        auto t0 = std::chrono::steady_clock::now();
+        api::SessionResult result =
+            api::runSession(s.resolved.topo, s.resolved.cfg);
+        auto t1 = std::chrono::steady_clock::now();
+
+        mpress::obs::SweepRow &row = rows[i];
+        row.name = s.name;
+        row.model = s.job.model;
+        row.system = s.job.system;
+        row.strategy = s.job.strategy;
+        row.topology = s.topology;
+        row.oom = result.oom;
+        row.rejected = result.rejected;
+        row.samplesPerSec = result.samplesPerSec;
+        row.tflops = result.tflops;
+        row.maxGpuPeak = result.maxGpuPeak;
+        row.planIterations = result.planResult.iterations;
+        row.planMs =
+            std::chrono::duration<double, std::milli>(t1 - t0)
+                .count();
+    });
+    return rows;
 }
 
 /** Statically verify @p scenario; prints findings and exits 3 when
@@ -430,51 +347,27 @@ toObsRows(const std::vector<mpress::planner::RobustnessRow> &rows)
 int
 main(int argc, char **argv)
 {
-    std::string model = "bert-0.64b";
-    std::string system = "pipedream";
-    std::string strategy = "mpress";
-    std::string topology = "dgx1";
+    api::JobSpec job;
     std::string save_plan, load_plan, timeline, metrics;
     std::string sweep, sweep_out, sweep_csv;
     std::string faults, robustness, robustness_out, robustness_csv;
-    std::string cluster_arg;
-    std::string verify_mode = "permissive";
-    int microbatch = 12, mb_per_mini = 8, minibatches = 2;
-    int threads = 1;
     bool fault_ladder = true;
     bool analyze = false;
-    bool analytic_prune = false;
-    bool portfolio = false;
-    double deadline_ms = 0.0;
 
     for (int i = 1; i < argc; ++i) {
+        api::JobError err;
+        if (api::readJobFlag(argc, argv, &i, api::JobFlags::All, &job,
+                             &err)) {
+            if (err.kind != api::JobErrorKind::None)
+                failJob(err);
+            continue;
+        }
         auto need = [&](const char *flag) -> std::string {
             if (i + 1 >= argc)
                 usage(flag);
             return argv[++i];
         };
-        if (!std::strcmp(argv[i], "--model"))
-            model = need("--model needs a value");
-        else if (!std::strcmp(argv[i], "--system"))
-            system = need("--system needs a value");
-        else if (!std::strcmp(argv[i], "--strategy"))
-            strategy = need("--strategy needs a value");
-        else if (!std::strcmp(argv[i], "--topology"))
-            topology = need("--topology needs a value");
-        else if (!std::strcmp(argv[i], "--cluster"))
-            cluster_arg = need("--cluster needs a value");
-        else if (!std::strcmp(argv[i], "--microbatch"))
-            microbatch =
-                parseIntFlag("--microbatch", need("--microbatch"));
-        else if (!std::strcmp(argv[i], "--mb-per-mini"))
-            mb_per_mini =
-                parseIntFlag("--mb-per-mini", need("--mb-per-mini"));
-        else if (!std::strcmp(argv[i], "--minibatches"))
-            minibatches =
-                parseIntFlag("--minibatches", need("--minibatches"));
-        else if (!std::strcmp(argv[i], "--threads"))
-            threads = parseIntFlag("--threads", need("--threads"));
-        else if (!std::strcmp(argv[i], "--sweep"))
+        if (!std::strcmp(argv[i], "--sweep"))
             sweep = need("--sweep");
         else if (!std::strcmp(argv[i], "--sweep-out"))
             sweep_out = need("--sweep-out");
@@ -484,8 +377,6 @@ main(int argc, char **argv)
             save_plan = need("--save-plan");
         else if (!std::strcmp(argv[i], "--load-plan"))
             load_plan = need("--load-plan");
-        else if (!std::strcmp(argv[i], "--verify-mode"))
-            verify_mode = need("--verify-mode");
         else if (!std::strcmp(argv[i], "--timeline"))
             timeline = need("--timeline");
         else if (!std::strcmp(argv[i], "--metrics"))
@@ -496,13 +387,6 @@ main(int argc, char **argv)
             fault_ladder = false;
         else if (!std::strcmp(argv[i], "--analyze"))
             analyze = true;
-        else if (!std::strcmp(argv[i], "--analytic-prune"))
-            analytic_prune = true;
-        else if (!std::strcmp(argv[i], "--portfolio"))
-            portfolio = true;
-        else if (!std::strcmp(argv[i], "--deadline-ms"))
-            deadline_ms = parseDoubleFlag("--deadline-ms",
-                                          need("--deadline-ms"));
         else if (!std::strcmp(argv[i], "--robustness"))
             robustness = need("--robustness");
         else if (!std::strcmp(argv[i], "--robustness-out"))
@@ -513,15 +397,11 @@ main(int argc, char **argv)
             usage("unknown option");
     }
 
-    if (threads < 1)
-        usage("--threads must be >= 1");
-
     if (!sweep.empty()) {
-        Scenario defaults{"",         model,      system,
-                          strategy,   topology,   verify_mode,
-                          microbatch, mb_per_mini, minibatches};
-        auto scenarios = parseSweepSpec(sweep, defaults);
-        auto rows = runSweep(scenarios, threads);
+        api::JobSpec defaults = job;
+        defaults.threads = 1;  // --threads sizes the scenario pool
+        auto scenarios = readSweepSpec(sweep, defaults);
+        auto rows = runSweep(scenarios, job.threads);
         if (!sweep_csv.empty()) {
             std::ofstream out(sweep_csv);
             mpress::obs::exportSweepCsv(out, rows);
@@ -542,25 +422,9 @@ main(int argc, char **argv)
         return 0;
     }
 
-    hw::Topology topo = cluster_arg.empty()
-                            ? parseTopology(topology)
-                            : parseCluster(cluster_arg);
-
-    api::SessionConfig cfg;
-    cfg.model = mm::presetByName(model);
-    cfg.microbatch = microbatch;
-    cfg.system = parseSystem(system);
-    cfg.numStages = topo.numGpus();
-    cfg.microbatchesPerMinibatch = mb_per_mini;
-    cfg.minibatches = minibatches;
-    cfg.strategy = parseStrategy(strategy);
-    cfg.verifyMode = parseVerifyMode(verify_mode);
-    cfg.planner.threads = threads;
-    cfg.planner.analyticPrune = analytic_prune;
-    cfg.planner.portfolio = portfolio;
-    cfg.planner.deadlineMs = deadline_ms;
-    if (deadline_ms < 0)
-        usage("--deadline-ms must be >= 0");
+    api::ResolvedJob resolved = resolveOrExit(job);
+    const hw::Topology &topo = resolved.topo;
+    api::SessionConfig &cfg = resolved.cfg;
     cfg.executor.recordTimeline = !timeline.empty();
     cfg.executor.recordMetrics = !metrics.empty();
     cfg.executor.faultLadder = fault_ladder;
@@ -584,9 +448,6 @@ main(int argc, char **argv)
     }
 
     if (!robustness.empty()) {
-        if (cfg.strategy == api::Strategy::ZeroOffload ||
-            cfg.strategy == api::Strategy::ZeroInfinity)
-            usage("--robustness needs a pipeline strategy");
         ft::ParsedScenarioMatrix matrix = ft::parseScenarioMatrix(
             readFile(robustness, "cannot read --robustness file"));
         if (!matrix.ok) {
@@ -597,25 +458,16 @@ main(int argc, char **argv)
         }
         if (matrix.scenarios.empty())
             usage("robustness spec has no scenarios");
-        for (const auto &s : matrix.scenarios)
-            gateScenario(topo, s);
 
-        // Plan (and baseline) fault-free, then replay the finished
-        // plan under every scenario across the pool.
-        api::MPressSession session(topo, cfg);
-        api::SessionResult planned = session.run();
-        if (planned.rejected) {
-            std::fputs(planned.verification.render().c_str(),
-                       stderr);
-            return 3;
+        api::RobustnessRun run =
+            api::runRobustness(topo, cfg, matrix.scenarios);
+        std::fputs(run.findings.c_str(), stderr);
+        if (run.status != api::RobustnessStatus::Ok) {
+            std::fprintf(stderr, "mpress_cli: %s\n", run.error.c_str());
+            return run.status == api::RobustnessStatus::NotPipeline ? 1
+                                                                    : 3;
         }
-        mu::ThreadPool pool(threads);
-        mpress::planner::SearchDriver driver(
-            topo, session.model(), session.partition(),
-            session.schedule(), cfg.executor, pool);
-        mpress::planner::RobustnessResult rr =
-            driver.evaluateRobustness(planned.plan,
-                                      matrix.scenarios);
+        const mpress::planner::RobustnessResult &rr = run.result;
 
         mpress::obs::RobustnessSummary summary;
         summary.baselineSamplesPerSec = rr.baseline.samplesPerSec;
@@ -651,12 +503,8 @@ main(int argc, char **argv)
     api::SessionResult result;
     if (!load_plan.empty()) {
         // Run the saved plan directly through the executor.
-        std::ifstream in(load_plan);
-        if (!in)
-            usage("cannot read --load-plan file");
-        std::stringstream buf;
-        buf << in.rdbuf();
-        auto parsed = cp::planFromText(buf.str());
+        auto parsed = cp::planFromText(
+            readFile(load_plan, "cannot read --load-plan file"));
         if (!parsed.ok) {
             std::fprintf(stderr, "bad plan: %s\n",
                          parsed.error.c_str());
@@ -682,7 +530,7 @@ main(int argc, char **argv)
         result.samplesPerSec = result.report.samplesPerSec;
         result.tflops = result.report.tflops;
         result.maxGpuPeak = result.report.maxGpuPeak();
-        result.name = model + "/" + system + "/loaded-plan";
+        result.name = job.model + "/" + job.system + "/loaded-plan";
     } else {
         result = api::runSession(topo, cfg);
         if (result.rejected) {
@@ -728,8 +576,7 @@ main(int argc, char **argv)
 
     if (analyze) {
         // ZeRO baselines carry no plan to analyze.
-        if (cfg.strategy == api::Strategy::ZeroOffload ||
-            cfg.strategy == api::Strategy::ZeroInfinity) {
+        if (!api::isPipelineStrategy(cfg.strategy)) {
             std::fprintf(stderr,
                          "--analyze needs a pipeline strategy\n");
         } else {

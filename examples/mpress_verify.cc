@@ -10,10 +10,15 @@
  *     --plan <file>           plan to check (required; plan format)
  *     --model <preset>        bert-0.35b..gpt3-175b [bert-0.64b]
  *     --system <name>         pipedream|dapple|gpipe [pipedream]
- *     --topology <name>       dgx1|dgx2            [dgx1]
+ *     --topology <name>       dgx1|dgx2, or a cluster preset such as
+ *                             2x-dgx1 or 8x-hgx-h100 [dgx1]
+ *     --cluster <spec|name>   cluster preset or JSON spec file
+ *                             (overrides --topology; verified and
+ *                             rejected with exit 3 on errors)
  *     --microbatch <n>        per-microbatch samples [12]
  *     --mb-per-mini <n>       microbatches per minibatch [8]
  *     --minibatches <n>       training window length [2]
+ *                             (each of the three in 1..4096)
  *     --strict                promote warnings to errors
  *     --analyze               also run the static plan analyzer:
  *                             prints the certificate (per-GPU
@@ -22,26 +27,30 @@
  *                             the cap-proved-overflow / cap-unproven
  *                             rules to the verification pass
  *
- * Exit status: 0 when the plan verifies clean of errors, 3 when it is
- * rejected, 1 on usage errors, 2 on a malformed numeric flag value.
+ * The job flags are mpress_cli's (read by api::readJobFlag, bound by
+ * api::resolveJob), so a plan saved by `mpress_cli ... --save-plan`
+ * is checked here with the same flags; the planner-only ones
+ * (--strategy, --threads, ...) are rejected as unknown options.
+ *
+ * Exit status: 0 when the plan verifies clean of errors, 3 when it or
+ * the cluster spec is rejected, 1 on usage errors (including an
+ * out-of-bounds value, an unknown name or more GPUs than model
+ * layers), 2 on a malformed numeric flag value.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "api/job.hh"
 #include "api/session.hh"
 #include "compaction/serialize.hh"
-#include "util/strings.hh"
 
 namespace api = mpress::api;
 namespace cp = mpress::compaction;
-namespace hw = mpress::hw;
-namespace mm = mpress::model;
-namespace pl = mpress::pipeline;
-namespace mu = mpress::util;
 
 namespace {
 
@@ -54,32 +63,12 @@ usage(const char *msg)
     std::exit(1);
 }
 
-/** Malformed numeric flag values exit 2, as in mpress_cli: a value
- *  that does not parse is distinct from an unknown option (1). */
-int
-parseIntFlag(const char *flag, const std::string &text)
+/** Report a job reader / resolver failure and exit with its status. */
+[[noreturn]] void
+failJob(const api::JobError &err)
 {
-    int value = 0;
-    if (!mu::parseInt(text, &value)) {
-        std::fprintf(stderr,
-                     "mpress_verify: %s: malformed value '%s' (expected"
-                     " a number in range)\n",
-                     flag, text.c_str());
-        std::exit(2);
-    }
-    return value;
-}
-
-pl::SystemKind
-parseSystem(const std::string &name)
-{
-    if (name == "pipedream")
-        return pl::SystemKind::PipeDream;
-    if (name == "dapple")
-        return pl::SystemKind::Dapple;
-    if (name == "gpipe")
-        return pl::SystemKind::Gpipe;
-    usage("unknown --system");
+    std::fprintf(stderr, "mpress_verify: %s\n", err.message.c_str());
+    std::exit(static_cast<int>(err.kind));
 }
 
 } // namespace
@@ -87,52 +76,40 @@ parseSystem(const std::string &name)
 int
 main(int argc, char **argv)
 {
-    std::string model = "bert-0.64b";
-    std::string system = "pipedream";
-    std::string topology = "dgx1";
+    api::JobSpec job;
     std::string plan_file;
-    int microbatch = 12, mb_per_mini = 8, minibatches = 2;
-    bool strict = false;
     bool analyze = false;
 
     for (int i = 1; i < argc; ++i) {
-        auto need = [&](const char *flag) -> std::string {
+        api::JobError err;
+        if (api::readJobFlag(argc, argv, &i, api::JobFlags::Shape, &job,
+                             &err)) {
+            if (err.kind != api::JobErrorKind::None)
+                failJob(err);
+            continue;
+        }
+        if (!std::strcmp(argv[i], "--plan")) {
             if (i + 1 >= argc)
-                usage(flag);
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--plan"))
-            plan_file = need("--plan needs a value");
-        else if (!std::strcmp(argv[i], "--model"))
-            model = need("--model needs a value");
-        else if (!std::strcmp(argv[i], "--system"))
-            system = need("--system needs a value");
-        else if (!std::strcmp(argv[i], "--topology"))
-            topology = need("--topology needs a value");
-        else if (!std::strcmp(argv[i], "--microbatch"))
-            microbatch = parseIntFlag("--microbatch",
-                                      need("--microbatch"));
-        else if (!std::strcmp(argv[i], "--mb-per-mini"))
-            mb_per_mini = parseIntFlag("--mb-per-mini",
-                                       need("--mb-per-mini"));
-        else if (!std::strcmp(argv[i], "--minibatches"))
-            minibatches = parseIntFlag("--minibatches",
-                                       need("--minibatches"));
-        else if (!std::strcmp(argv[i], "--strict"))
-            strict = true;
-        else if (!std::strcmp(argv[i], "--analyze"))
+                usage("--plan needs a value");
+            plan_file = argv[++i];
+        } else if (!std::strcmp(argv[i], "--strict")) {
+            job.verifyMode = "strict";
+        } else if (!std::strcmp(argv[i], "--analyze")) {
             analyze = true;
-        else
+        } else {
             usage("unknown option");
+        }
     }
     if (plan_file.empty())
         usage("--plan is required");
 
-    hw::Topology topo = topology == "dgx2"
-                            ? hw::Topology::dgx2A100()
-                            : hw::Topology::dgx1V100();
-    if (topology != "dgx1" && topology != "dgx2")
-        usage("--topology must be dgx1 or dgx2");
+    api::JobError err;
+    std::string findings;
+    std::optional<api::ResolvedJob> resolved =
+        api::resolveJob(job, &err, &findings);
+    std::fputs(findings.c_str(), stderr);
+    if (!resolved)
+        failJob(err);
 
     std::ifstream in(plan_file);
     if (!in)
@@ -145,18 +122,8 @@ main(int argc, char **argv)
         return 3;
     }
 
-    api::SessionConfig cfg;
-    cfg.model = mm::presetByName(model);
-    cfg.microbatch = microbatch;
-    cfg.system = parseSystem(system);
-    cfg.numStages = topo.numGpus();
-    cfg.microbatchesPerMinibatch = mb_per_mini;
-    cfg.minibatches = minibatches;
-    cfg.verifyMode = strict ? api::VerifyMode::Strict
-                            : api::VerifyMode::Permissive;
-    cfg.verifyOptions.analysis = analyze;
-
-    api::MPressSession session(topo, cfg);
+    resolved->cfg.verifyOptions.analysis = analyze;
+    api::MPressSession session(resolved->topo, resolved->cfg);
     if (analyze)
         std::fputs(session.analyzePlan(parsed.plan).render().c_str(),
                    stdout);

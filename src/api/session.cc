@@ -1,5 +1,7 @@
 #include "api/session.hh"
 
+#include <algorithm>
+
 #include "cluster/cluster.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -27,6 +29,12 @@ strategyName(Strategy s)
         return "zero-infinity";
     }
     return "?";
+}
+
+bool
+isPipelineStrategy(Strategy s)
+{
+    return s != Strategy::ZeroOffload && s != Strategy::ZeroInfinity;
 }
 
 const char *
@@ -132,8 +140,7 @@ MPressSession::run() const
         strategyName(_cfg.strategy));
 
     // ZeRO baselines bypass the pipeline machinery entirely.
-    if (_cfg.strategy == Strategy::ZeroOffload ||
-        _cfg.strategy == Strategy::ZeroInfinity) {
+    if (!isPipelineStrategy(_cfg.strategy)) {
         baselines::ZeroConfig zc = _cfg.zero;
         zc.variant = _cfg.strategy == Strategy::ZeroOffload
                          ? baselines::ZeroVariant::Offload
@@ -244,6 +251,49 @@ runSession(const hw::Topology &topo, const SessionConfig &cfg)
 {
     MPressSession session(topo, cfg);
     return session.run();
+}
+
+RobustnessRun
+runRobustness(const hw::Topology &topo, const SessionConfig &cfg,
+              const std::vector<fault::Scenario> &scenarios)
+{
+    RobustnessRun run;
+    if (!isPipelineStrategy(cfg.strategy)) {
+        run.status = RobustnessStatus::NotPipeline;
+        run.error = "robustness needs a pipeline strategy";
+        return run;
+    }
+    for (const auto &scenario : scenarios) {
+        verify::Report report = verify::verifyScenario(topo, scenario);
+        if (!report.clean())
+            run.findings += report.render();
+        if (!report.ok()) {
+            run.status = RobustnessStatus::ScenarioRejected;
+            run.error = util::strformat(
+                "fault scenario \"%s\" rejected: %s",
+                scenario.name.c_str(), report.summary().c_str());
+            return run;
+        }
+    }
+
+    // Plan (and baseline) fault-free, then replay the finished plan
+    // under every scenario across the pool.
+    MPressSession session(topo, cfg);
+    SessionResult planned = session.run();
+    if (planned.rejected) {
+        run.status = RobustnessStatus::PlanRejected;
+        run.findings = planned.verification.render();
+        run.error = "plan rejected: " + planned.verification.summary();
+        return run;
+    }
+    util::ThreadPool pool(std::min(cfg.planner.threads,
+                                   util::ThreadPool::hardwareThreads()));
+    planner::SearchDriver driver(topo, session.model(),
+                                 session.partition(),
+                                 session.schedule(), cfg.executor, pool);
+    driver.setSharedCache(cfg.planner.sharedCache);
+    run.result = driver.evaluateRobustness(planned.plan, scenarios);
+    return run;
 }
 
 } // namespace api

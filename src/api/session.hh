@@ -30,6 +30,7 @@
 #include "partition/partition.hh"
 #include "pipeline/schedule.hh"
 #include "planner/planner.hh"
+#include "planner/search.hh"
 #include "runtime/executor.hh"
 #include "verify/verify.hh"
 
@@ -50,6 +51,10 @@ enum class Strategy
 
 /** Returns a display name for @p s. */
 const char *strategyName(Strategy s);
+
+/** True for the strategies that run the pipeline and carry a plan
+ *  (everything but the ZeRO baselines). */
+bool isPipelineStrategy(Strategy s);
 
 /** How a session treats static plan verification. */
 enum class VerifyMode
@@ -178,6 +183,38 @@ class MPressSession
 /** One-call convenience wrapper. */
 SessionResult runSession(const hw::Topology &topo,
                          const SessionConfig &cfg);
+
+/** How a runRobustness() call ended. */
+enum class RobustnessStatus
+{
+    Ok,
+    NotPipeline,       ///< ZeRO strategy: no plan to replay
+    ScenarioRejected,  ///< verifyScenario rejected a scenario
+    PlanRejected,      ///< verification rejected the fault-free plan
+};
+
+/** Result of runRobustness(). */
+struct RobustnessRun
+{
+    RobustnessStatus status = RobustnessStatus::Ok;
+    /** One-line reason when status != Ok. */
+    std::string error;
+    /** Rendered scenario / plan findings, empty when clean. */
+    std::string findings;
+    planner::RobustnessResult result;
+};
+
+/**
+ * Replay one plan across a fault-scenario matrix: statically verify
+ * every scenario against @p topo, plan the job fault-free, reject a
+ * plan that fails verification, then replay the finished plan under
+ * every scenario on a pool of cfg.planner.threads workers, clamped
+ * to the core count (rows and percentiles are identical at any
+ * thread count).  A cfg.planner.sharedCache also serves the replays.
+ */
+RobustnessRun runRobustness(const hw::Topology &topo,
+                            const SessionConfig &cfg,
+                            const std::vector<fault::Scenario> &scenarios);
 
 } // namespace api
 } // namespace mpress

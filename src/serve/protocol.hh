@@ -13,16 +13,20 @@
  *    "id":"<echoed verbatim>",
  *    ... op-specific fields ...}
  *
- * plan / analyze / robustness describe one training job with the
- * same vocabulary as the mpress_cli flags (model preset, topology
- * preset, system, strategy, microbatch, mbPerMini, minibatches,
- * threads, deadlineMs, portfolio, analyticPrune, verifyMode) and the
- * same defaults, so a served request and the equivalent command line
- * are the same job — the byte-identical-plan contract in
- * tests/serve_test.cc depends on it.  robustness additionally takes
- * "scenarios": an inline fault-scenario array in the --robustness
- * file format.  stall ("ms": sleep duration) exists only for tests
- * and is rejected unless the server enables it.
+ * plan / analyze / robustness describe one training job as an
+ * api::JobSpec: the job fields (model, topology, cluster, system,
+ * strategy, verifyMode, microbatch, mbPerMini, minibatches, threads,
+ * portfolio, analyticPrune, deadlineMs) are read by
+ * api::readJobJson, with the names, defaults and bounds the
+ * mpress_cli flags use, and bound by api::resolveJob, so a served
+ * request and the equivalent command line are the same job — the
+ * byte-identical-plan contract in tests/serve_test.cc depends on it.
+ * Every name is checked by resolveJob at execution time, including a
+ * job with more GPUs than model layers: all of them answer
+ * bad-request.  robustness additionally takes "scenarios": an inline
+ * fault-scenario array in the --robustness file format.  stall ("ms":
+ * sleep duration) exists only for tests and is rejected unless the
+ * server enables it.
  *
  * Every response is either
  *   {"id":...,"ok":true,"op":...,"result":{...}}        or
@@ -38,6 +42,7 @@
 
 #include <string>
 
+#include "api/job.hh"
 #include "util/json.hh"
 
 namespace mpress {
@@ -73,37 +78,12 @@ enum class ErrorKind
 /** Returns the stable wire name of @p kind ("parse-error", ...). */
 const char *errorKindName(ErrorKind kind);
 
-/** One training job as described by a plan/analyze/robustness
- *  request.  Defaults mirror the mpress_cli flag defaults. */
-struct JobSpec
-{
-    std::string model = "bert-0.64b";
-    std::string topology = "dgx1";
-
-    /** Multi-node cluster selector; empty = use @ref topology.  On
-     *  the wire "cluster" is either a string (a preset name such as
-     *  "2x-dgx2") or an inline spec object, which is re-rendered to
-     *  canonical text here so the server can push it through the
-     *  strict cluster-spec parser and verifyClusterSpec. */
-    std::string cluster;
-    std::string system = "pipedream";
-    std::string strategy = "mpress";
-    std::string verifyMode = "permissive";
-    int microbatch = 12;
-    int mbPerMini = 8;
-    int minibatches = 2;
-    int threads = 1;
-    bool portfolio = false;
-    bool analyticPrune = false;
-    double deadlineMs = 0.0;
-};
-
 /** One decoded request line. */
 struct Request
 {
     RequestOp op = RequestOp::Ping;
     std::string id;
-    JobSpec job;
+    api::JobSpec job;
 
     /** Robustness only: the request's "scenarios" array re-rendered
      *  as a {"scenarios":[...]} document for

@@ -12,117 +12,14 @@
 #include <utility>
 
 #include "api/session.hh"
-#include "cluster/cluster.hh"
 #include "compaction/serialize.hh"
 #include "fault/scenario.hh"
-#include "model/model.hh"
 #include "util/strings.hh"
-#include "verify/verify.hh"
 
 namespace mpress {
 namespace serve {
 
 namespace {
-
-/** A request's job bound to concrete objects. */
-struct BuiltJob
-{
-    hw::Topology topo;
-    api::SessionConfig cfg;
-};
-
-/**
- * Resolve a JobSpec into a topology + session config, through the
- * same checked name parsers the CLI flags use (api::*FromName,
- * model::findPreset) — a served job and the equivalent command line
- * can never drift apart.  nullopt (with @p err) on any unknown name.
- */
-/**
- * Resolve a JobSpec's "cluster" field — a preset name or canonical
- * spec text (the protocol layer re-rendered any inline object) —
- * through the strict spec parser and verifyClusterSpec, exactly the
- * gate mpress_cli --cluster applies.  nullopt (with @p err) on any
- * rejection; malformed or hostile specs become typed bad-request
- * errors, never a fatal inside buildCluster().
- */
-std::optional<hw::Topology>
-clusterFromJob(const std::string &text, std::string *err)
-{
-    cluster::ClusterSpec spec;
-    if (std::optional<cluster::ClusterSpec> preset =
-            cluster::clusterByName(text)) {
-        spec = *preset;
-    } else {
-        cluster::ParsedClusterSpec parsed =
-            cluster::parseClusterSpec(text);
-        if (!parsed.ok) {
-            *err = "bad cluster spec: " + parsed.error;
-            return std::nullopt;
-        }
-        spec = parsed.spec;
-    }
-    verify::Report report = verify::verifyClusterSpec(spec);
-    if (!report.ok()) {
-        *err = "cluster spec rejected: " + report.summary();
-        return std::nullopt;
-    }
-    return cluster::buildCluster(spec);
-}
-
-std::optional<BuiltJob>
-buildJob(const JobSpec &job, planner::TrialCache *shared_cache,
-         std::string *err)
-{
-    std::optional<hw::Topology> topo;
-    if (!job.cluster.empty()) {
-        topo = clusterFromJob(job.cluster, err);
-        if (!topo)
-            return std::nullopt;
-    } else {
-        topo = api::topologyFromName(job.topology);
-        if (!topo) {
-            *err = "unknown topology \"" + job.topology + "\"";
-            return std::nullopt;
-        }
-    }
-    api::SessionConfig cfg;
-    if (!model::findPreset(job.model, &cfg.model)) {
-        *err = "unknown model preset \"" + job.model + "\"";
-        return std::nullopt;
-    }
-    if (!api::systemKindFromName(job.system, &cfg.system)) {
-        *err = "unknown system \"" + job.system + "\"";
-        return std::nullopt;
-    }
-    if (!api::strategyFromName(job.strategy, &cfg.strategy)) {
-        *err = "unknown strategy \"" + job.strategy + "\"";
-        return std::nullopt;
-    }
-    if (!api::verifyModeFromName(job.verifyMode, &cfg.verifyMode)) {
-        *err = "unknown verifyMode \"" + job.verifyMode + "\"";
-        return std::nullopt;
-    }
-    cfg.microbatch = job.microbatch;
-    cfg.numStages = topo->numGpus();
-    cfg.microbatchesPerMinibatch = job.mbPerMini;
-    cfg.minibatches = job.minibatches;
-    cfg.planner.threads = job.threads;
-    cfg.planner.portfolio = job.portfolio;
-    cfg.planner.analyticPrune = job.analyticPrune;
-    cfg.planner.deadlineMs = job.deadlineMs;
-    // The daemon's one resident cache serves every request; the job
-    // content key keeps different jobs' entries disjoint, so this is
-    // invisible except in wall-clock time and the hit counters.
-    cfg.planner.sharedCache = shared_cache;
-    return BuiltJob{std::move(*topo), std::move(cfg)};
-}
-
-bool
-isPipelineStrategy(api::Strategy s)
-{
-    return s != api::Strategy::ZeroOffload &&
-           s != api::Strategy::ZeroInfinity;
-}
 
 /** Shared response fields of a finished session run. */
 std::string
@@ -402,16 +299,10 @@ Server::runTask(const Task &task)
     try {
         switch (req.op) {
           case RequestOp::Plan:
-            _planRequests.fetch_add(1, std::memory_order_relaxed);
-            response = handlePlan(req);
-            break;
           case RequestOp::Analyze:
-            _planRequests.fetch_add(1, std::memory_order_relaxed);
-            response = handleAnalyze(req);
-            break;
           case RequestOp::Robustness:
             _planRequests.fetch_add(1, std::memory_order_relaxed);
-            response = handleRobustness(req);
+            response = handleJob(req);
             break;
           case RequestOp::Stall: {
             auto ms = static_cast<std::int64_t>(req.stallMs);
@@ -438,14 +329,32 @@ Server::runTask(const Task &task)
 }
 
 std::string
-Server::handlePlan(const Request &req)
+Server::handleJob(const Request &req)
 {
-    std::string err;
-    std::optional<BuiltJob> job =
-        buildJob(req.job, &_trialCache, &err);
+    // The same resolver as mpress_cli, so a served job and the
+    // equivalent command line are the same job.
+    api::JobError err;
+    std::optional<api::ResolvedJob> job = api::resolveJob(req.job, &err);
     if (!job)
-        return errorResponse(req.id, ErrorKind::BadRequest, err);
-    api::MPressSession session(job->topo, job->cfg);
+        return errorResponse(req.id, ErrorKind::BadRequest, err.message);
+    // The daemon's one resident cache serves every request; the job
+    // content key keeps different jobs' entries disjoint, so this is
+    // invisible except in wall-clock time and the hit counters.
+    job->cfg.planner.sharedCache = &_trialCache;
+    switch (req.op) {
+      case RequestOp::Analyze:
+        return handleAnalyze(req, *job);
+      case RequestOp::Robustness:
+        return handleRobustness(req, *job);
+      default:
+        return handlePlan(req, *job);
+    }
+}
+
+std::string
+Server::handlePlan(const Request &req, const api::ResolvedJob &job)
+{
+    api::MPressSession session(job.topo, job.cfg);
     api::SessionResult result = session.run();
     {
         // Record the run's simulation-engine footprint for the stats
@@ -471,18 +380,13 @@ Server::handlePlan(const Request &req)
 }
 
 std::string
-Server::handleAnalyze(const Request &req)
+Server::handleAnalyze(const Request &req, const api::ResolvedJob &job)
 {
-    std::string err;
-    std::optional<BuiltJob> job =
-        buildJob(req.job, &_trialCache, &err);
-    if (!job)
-        return errorResponse(req.id, ErrorKind::BadRequest, err);
-    if (!isPipelineStrategy(job->cfg.strategy)) {
+    if (!api::isPipelineStrategy(job.cfg.strategy)) {
         return errorResponse(req.id, ErrorKind::BadRequest,
                              "analyze needs a pipeline strategy");
     }
-    api::MPressSession session(job->topo, job->cfg);
+    api::MPressSession session(job.topo, job.cfg);
     api::SessionResult result = session.run();
     if (result.rejected) {
         return errorResponse(
@@ -499,52 +403,26 @@ Server::handleAnalyze(const Request &req)
 }
 
 std::string
-Server::handleRobustness(const Request &req)
+Server::handleRobustness(const Request &req,
+                         const api::ResolvedJob &job)
 {
-    std::string err;
-    std::optional<BuiltJob> job =
-        buildJob(req.job, &_trialCache, &err);
-    if (!job)
-        return errorResponse(req.id, ErrorKind::BadRequest, err);
-    if (!isPipelineStrategy(job->cfg.strategy)) {
-        return errorResponse(req.id, ErrorKind::BadRequest,
-                             "robustness needs a pipeline strategy");
-    }
     fault::ParsedScenarioMatrix matrix =
         fault::parseScenarioMatrix(req.scenariosText);
     if (!matrix.ok) {
         return errorResponse(req.id, ErrorKind::BadRequest,
                              "bad scenario spec: " + matrix.error);
     }
-    for (const auto &scenario : matrix.scenarios) {
-        verify::Report report =
-            verify::verifyScenario(job->topo, scenario);
-        if (!report.ok()) {
-            return errorResponse(
-                req.id, ErrorKind::BadRequest,
-                "scenario \"" + scenario.name +
-                    "\" rejected: " + report.summary());
-        }
-    }
-
-    // Mirror the CLI's --robustness path: plan (and baseline)
-    // fault-free, then replay the finished plan under every scenario
-    // across the request's pool.
-    api::MPressSession session(job->topo, job->cfg);
-    api::SessionResult planned = session.run();
-    if (planned.rejected) {
+    api::RobustnessRun run =
+        api::runRobustness(job.topo, job.cfg, matrix.scenarios);
+    if (run.status != api::RobustnessStatus::Ok) {
         return errorResponse(
-            req.id, ErrorKind::RejectedPlan,
-            "plan rejected: " + planned.verification.summary());
+            req.id,
+            run.status == api::RobustnessStatus::PlanRejected
+                ? ErrorKind::RejectedPlan
+                : ErrorKind::BadRequest,
+            run.error);
     }
-    util::ThreadPool pool(req.job.threads);
-    planner::SearchDriver driver(job->topo, session.model(),
-                                 session.partition(),
-                                 session.schedule(),
-                                 job->cfg.executor, pool);
-    driver.setSharedCache(&_trialCache);
-    planner::RobustnessResult rr =
-        driver.evaluateRobustness(planned.plan, matrix.scenarios);
+    const planner::RobustnessResult &rr = run.result;
 
     std::string body = util::strformat(
         "{\"baselineSamplesPerSec\":%.17g,\"worst\":%.17g,"

@@ -160,9 +160,14 @@ class Server
      *  returned response after freeing the worker slot. */
     std::string runTask(const Task &task);
 
-    std::string handlePlan(const Request &req);
-    std::string handleAnalyze(const Request &req);
-    std::string handleRobustness(const Request &req);
+    /** Resolve a plan / analyze / robustness job, then run it. */
+    std::string handleJob(const Request &req);
+    std::string handlePlan(const Request &req,
+                           const api::ResolvedJob &job);
+    std::string handleAnalyze(const Request &req,
+                              const api::ResolvedJob &job);
+    std::string handleRobustness(const Request &req,
+                                 const api::ResolvedJob &job);
     std::string statsBody() const;
 
     ServerConfig _cfg;

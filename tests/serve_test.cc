@@ -140,6 +140,16 @@ TEST(ServeProtocol, BadNamesRejectedAtExecution)
     EXPECT_EQ(errorKind(h.call(
                   "{\"op\":\"plan\",\"system\":\"megatron\"}")),
               "bad-request");
+    // 32 stages (4 nodes x 8 GPUs) for a 26-layer model: well formed,
+    // but a job that cannot be built.  It used to reach util::fatal
+    // in the partitioner and take the whole daemon down.
+    EXPECT_EQ(errorKind(h.call(
+                  "{\"op\":\"plan\",\"job\":{\"model\":"
+                  "\"bert-0.35b\",\"topology\":\"4x-dgx1\"}}")),
+              "bad-request");
+    mu::JsonValue pong = h.call("{\"op\":\"ping\",\"id\":\"alive\"}");
+    EXPECT_TRUE(pong.boolOr("ok", false));
+    EXPECT_EQ(pong.stringOr("id", ""), "alive");
 }
 
 TEST(ServeProtocol, OversizedLineIsRejected)

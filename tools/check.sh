@@ -127,12 +127,23 @@ EOF
 
     echo "== cluster smoke (ASan) =="
     # A 2-node DGX-2 cluster must plan a model that OOMs on one node,
-    # and a spec that fails verifyClusterSpec must be rejected with
-    # the diagnostic exit code (3), not a crash.
+    # mpress-verify must check the saved 2-node plan with the same
+    # job flags (exit 0 or 3, never the usage error 1), and a spec
+    # that fails verifyClusterSpec must be rejected with the
+    # diagnostic exit code (3), not a crash.
     ./build-asan/examples/mpress_cli --cluster 2x-dgx2 \
         --model bert-1.67b --minibatches 2 \
-        --strategy mpress >"$smoke/cluster.out"
+        --strategy mpress --save-plan "$smoke/cluster.plan" \
+        >"$smoke/cluster.out"
     grep -q 'samples/s' "$smoke/cluster.out"
+    rc=0
+    ./build-asan/examples/mpress-verify --plan "$smoke/cluster.plan" \
+        --cluster 2x-dgx2 --model bert-1.67b --minibatches 2 \
+        >/dev/null 2>&1 || rc=$?
+    [ "$rc" = 0 ] || [ "$rc" = 3 ] || {
+        echo "mpress-verify on a 2-node plan exited $rc, want 0 or 3" >&2
+        exit 1
+    }
     cat >"$smoke/bad-cluster.json" <<'EOF'
 {"name":"bad","nodes":65,"node":"dgx2","nicsPerNode":1}
 EOF
@@ -148,7 +159,23 @@ EOF
         echo "bad cluster spec exited $rc, want 3" >&2
         exit 1
     }
-    echo "cluster smoke: 2-node plan trained, bad spec rejected"
+    echo "cluster smoke: 2-node plan trained and verified, bad spec" \
+         "rejected"
+
+    echo "== job reader smoke (ASan) =="
+    # A type-confused sweep scenario ("microbatch" as a string) is a
+    # spec error (exit 1) caught before any scenario runs.
+    cat >"$smoke/confused-sweep.json" <<'EOF'
+{ "scenarios": [{"model": "bert-0.35b", "microbatch": "12"}] }
+EOF
+    rc=0
+    ./build-asan/examples/mpress_cli \
+        --sweep "$smoke/confused-sweep.json" >/dev/null 2>&1 || rc=$?
+    [ "$rc" = 1 ] || {
+        echo "type-confused sweep spec exited $rc, want 1" >&2
+        exit 1
+    }
+    echo "job reader smoke: type-confused sweep spec rejected"
 
     echo "== serve smoke (ASan) =="
     # The daemon under ASan: serve a real plan, then feed it hostile
