@@ -15,6 +15,11 @@
  *    chains — the steady state of a training emulation, where pooled
  *    slots recycle through the freelist and allocs/event must be ~0
  *
+ * BM_FullIteration replays an empty plan; BM_FullIterationCompacted
+ * replays the same job under a fixed plan that mixes GPU-CPU swap,
+ * D2D swap and recompute, so it measures the executor's swap-table
+ * and per-instance bookkeeping that the empty plan never reaches.
+ *
  * Every run also tees its metrics into BENCH_sim.json (see
  * bench::BenchReport) so tools/check.sh can gate on regressions.
  */
@@ -281,6 +286,47 @@ BM_FullIteration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullIteration);
+
+static void
+BM_FullIterationCompacted(benchmark::State &state)
+{
+    auto topo = hw::Topology::dgx1V100();
+    auto cfg = mm::presetByName("bert-0.35b");
+    mm::TransformerModel mdl(cfg, 4);
+    auto part = mp::partitionModel(mdl, 8,
+                                   mp::Strategy::ComputeBalanced);
+    auto sched = pl::buildPipeDream(8, 4, 2);
+    // Layers cycle through the three kinds; every GPU grants D2D
+    // space to two NVLink peers (g^1 and g^4 on the hybrid cube).
+    cp::CompactionPlan plan;
+    const cp::Kind cycle[] = {cp::Kind::GpuCpuSwap, cp::Kind::D2dSwap,
+                              cp::Kind::Recompute};
+    for (const auto &stage : part.stages) {
+        for (std::size_t l = stage.firstLayer; l <= stage.lastLayer;
+             ++l)
+            plan.activations[{stage.index, static_cast<int>(l)}] =
+                cycle[l % 3];
+    }
+    for (int g = 0; g < topo.numGpus(); ++g)
+        plan.spareGrants[g] = {{g ^ 1, 2 * mu::kGB},
+                               {g ^ 4, 2 * mu::kGB}};
+    rt::TrainingReport report;
+    for (auto _ : state) {
+        report = rt::runTraining(topo, mdl, part, sched, plan);
+        benchmark::DoNotOptimize(report.makespan);
+    }
+    // Bytes saved per kind in the sampled minibatch: all three must
+    // be non-zero for the bench to cover every swap path.
+    state.counters["gpu_cpu_saved"] =
+        static_cast<double>(report.savings.gpuCpuSwap);
+    state.counters["d2d_saved"] =
+        static_cast<double>(report.savings.d2dSwap);
+    state.counters["recompute_saved"] =
+        static_cast<double>(report.savings.recompute);
+    if (report.oom)
+        state.SkipWithError("compacted iteration ran out of memory");
+}
+BENCHMARK(BM_FullIterationCompacted);
 
 static void
 BM_FullIterationObserved(benchmark::State &state)

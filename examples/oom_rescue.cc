@@ -24,7 +24,13 @@ namespace mu = mpress::util;
 int
 main(int argc, char **argv)
 {
-    std::string preset = argc > 1 ? argv[1] : "bert-1.67b";
+    const std::string preset = argc > 1 ? argv[1] : "bert-1.67b";
+    mm::ModelConfig model;
+    if (!mm::findPreset(preset, &model)) {
+        std::fprintf(stderr, "oom_rescue: unknown model preset '%s'\n",
+                     preset.c_str());
+        return 1;
+    }
     hw::Topology server = hw::Topology::dgx1V100();
 
     const api::Strategy strategies[] = {
@@ -40,7 +46,7 @@ main(int argc, char **argv)
                          "max GPU peak", "swap-in stall", "recompute"});
     for (api::Strategy strat : strategies) {
         api::SessionConfig cfg;
-        cfg.model = mm::presetByName(preset);
+        cfg.model = model;
         cfg.microbatch = 12;
         cfg.system = mpress::pipeline::SystemKind::PipeDream;
         cfg.numStages = server.numGpus();

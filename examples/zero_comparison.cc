@@ -23,10 +23,10 @@ namespace mu = mpress::util;
 namespace {
 
 void
-compareOn(hw::Topology server, const std::string &preset)
+compareOn(hw::Topology server, const mm::ModelConfig &model)
 {
     std::printf("=== %s, %s (microbatch 2) ===\n",
-                server.name().c_str(), preset.c_str());
+                server.name().c_str(), model.name.c_str());
 
     const api::Strategy strategies[] = {
         api::Strategy::None,        api::Strategy::Recompute,
@@ -38,7 +38,7 @@ compareOn(hw::Topology server, const std::string &preset)
     double mpress_tflops = 0, best_zero = 0;
     for (api::Strategy strat : strategies) {
         api::SessionConfig cfg;
-        cfg.model = mm::presetByName(preset);
+        cfg.model = model;
         cfg.microbatch = 2;
         cfg.system = mpress::pipeline::SystemKind::Dapple;
         cfg.numStages = server.numGpus();
@@ -77,7 +77,14 @@ compareOn(hw::Topology server, const std::string &preset)
 int
 main(int argc, char **argv)
 {
-    std::string preset = argc > 1 ? argv[1] : "gpt-10.3b";
+    const std::string preset = argc > 1 ? argv[1] : "gpt-10.3b";
+    mm::ModelConfig model;
+    if (!mm::findPreset(preset, &model)) {
+        std::fprintf(stderr,
+                     "zero_comparison: unknown model preset '%s'\n",
+                     preset.c_str());
+        return 1;
+    }
 
     // The paper's ZeRO experiments ran on servers provisioned with
     // NVMe swap space (Sec. IV-C); add it to the DGX-1 profile.
@@ -89,7 +96,7 @@ main(int argc, char **argv)
     fast_nvme.peak = mpress::util::Bandwidth::fromGBps(25.0);
     dgx1.setNvmeSpec(fast_nvme);
 
-    compareOn(dgx1, preset);
-    compareOn(hw::Topology::dgx2A100(), preset);
+    compareOn(dgx1, model);
+    compareOn(hw::Topology::dgx2A100(), model);
     return 0;
 }

@@ -8,12 +8,21 @@
  * driven from this record and retires it on completion.  The same
  * table tracks GPU-CPU swapped instances (a single "stripe" to the
  * host) so that the executor has one lookup path.
+ *
+ * The executor touches this table on every swap event, so a lookup
+ * is two array indexes, not a tree walk: a grid of slots indexed
+ * [layer][microbatch] (rows grow on demand) names a record in a
+ * pooled store whose retired records are reused.  A layer belongs to
+ * exactly one stage of a partition, so the stage is not a grid
+ * coordinate; it is part of the key every lookup compares.
  */
 
 #ifndef MPRESS_COMPACTION_METADATA_HH
 #define MPRESS_COMPACTION_METADATA_HH
 
-#include <map>
+#include <cstdint>
+#include <deque>
+#include <vector>
 
 #include "compaction/striping.hh"
 #include "memory/liveness.hh"
@@ -28,11 +37,9 @@ struct InstanceKey
     int microbatch = 0;
 
     bool
-    operator<(const InstanceKey &o) const
+    operator==(const InstanceKey &o) const
     {
-        if (!(ref == o.ref))
-            return ref < o.ref;
-        return microbatch < o.microbatch;
+        return ref == o.ref && microbatch == o.microbatch;
     }
 };
 
@@ -64,7 +71,10 @@ class SwapMetadataTable
 {
   public:
     /** Create a record as the swap-out operator is issued; panics if
-     *  the instance is already tracked (double swap-out). */
+     *  the instance is already tracked (double swap-out), if its
+     *  layer or microbatch is negative, or if another stage's record
+     *  holds the same (layer, microbatch).  The reference stays valid
+     *  until the record is retired. */
     SwapRecord &beginSwapOut(InstanceKey key, Kind kind,
                              StripePlan plan, Bytes bytes);
 
@@ -88,13 +98,25 @@ class SwapMetadataTable
      */
     void abort(InstanceKey key);
 
-    std::size_t size() const { return _records.size(); }
-    bool empty() const { return _records.empty(); }
+    std::size_t size() const { return _records.size() - _free.size(); }
+    bool empty() const { return size() == 0; }
 
   private:
-    SwapRecord &require(InstanceKey key);
+    static constexpr std::int32_t kNoRecord = -1;
 
-    std::map<InstanceKey, SwapRecord> _records;
+    /** The grid cell of @p key; nullptr when outside the grid. */
+    std::int32_t *slotOf(InstanceKey key);
+    SwapRecord &require(InstanceKey key);
+    /** Retire @p key's record; panics if absent. */
+    void release(InstanceKey key);
+
+    /** _slots[layer][microbatch]: index into _records or kNoRecord. */
+    std::vector<std::vector<std::int32_t>> _slots;
+    /** Record storage; a deque, so a record never moves while it is
+     *  live and the references handed out stay valid. */
+    std::deque<SwapRecord> _records;
+    /** Retired _records entries, reused last-in first-out. */
+    std::vector<std::int32_t> _free;
 };
 
 } // namespace compaction

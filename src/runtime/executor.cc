@@ -1,6 +1,7 @@
 #include "runtime/executor.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <map>
 
@@ -23,7 +24,7 @@ using util::Tick;
 namespace {
 
 /** Per-instance swap-in tracking state. */
-enum class InState
+enum class InState : std::uint8_t
 {
     NotNeeded,
     Pending,   ///< instance offloaded, swap-in not yet issued
@@ -128,12 +129,9 @@ struct Executor::Impl
         Bytes totalPressureCut = 0;
 
         compaction::SwapMetadataTable swapTable;
-        std::map<InstanceKey, Tick> genTime;
-        std::map<InstanceKey, InState> inState;
-        std::map<InstanceKey, BwdChain *> blockedOn;
+        // Per-instance state lives in the executor-wide `instances`
+        // slab; this node's shard touches only its own instances.
         std::map<int, BwdChain> bwdChains;  // keyed by task id
-        /** Per-instance compaction-kind demotions by the ladder. */
-        std::map<InstanceKey, Kind> kindOverride;
         /** Weight-version fetch progress for stash-offloaded backward
          *  tasks: absent = not issued, 1 = in flight, 2 = landed. */
         std::map<int, int> versionFetch;
@@ -168,6 +166,27 @@ struct Executor::Impl
 
     /** Fixed after construction; lambdas capture element pointers. */
     std::vector<NodeState> nodes;
+
+    /** Executor-side state of one activation instance. */
+    struct InstanceState
+    {
+        Tick genTime = -1;  ///< forward completion; -1 = not yet run
+        /** Backward chain stalled on this instance's swap-in. */
+        BwdChain *blockedOn = nullptr;
+        /** The planned kind, until the fault ladder demotes it. */
+        Kind kind = Kind::None;
+        InState in = InState::NotNeeded;
+    };
+
+    /**
+     * One element per (layer, global microbatch), at index
+     * layer * sched.totalMicrobatches() + microbatch (instance()):
+     * every per-instance lookup on the event path is an array index.
+     * Sized once at construction.  The slab keeps the sharding rule:
+     * an instance's stage fixes its GPU and so its node, and only
+     * that node's shard touches the element.
+     */
+    std::vector<InstanceState> instances;
 
     // Metric ids are identical in every node's registry (same
     // registration order), so one set of handles serves all shards.
@@ -223,6 +242,15 @@ struct Executor::Impl
     }
 
     NodeState &nsOfStage(int stage) { return nsOf(gpuOf(stage)); }
+
+    InstanceState &
+    instance(InstanceKey key)
+    {
+        return instances[static_cast<std::size_t>(key.ref.layer) *
+                             static_cast<std::size_t>(
+                                 sched.totalMicrobatches()) +
+                         static_cast<std::size_t>(key.microbatch)];
+    }
 
     sim::Engine &engineOf(int gpu) { return *nsOf(gpu).engine; }
 
@@ -345,6 +373,20 @@ struct Executor::Impl
             static_cast<std::size_t>(topo.numGpus()), 0);
 
         grantsLeft = plan.spareGrants;
+
+        // A layer's planned kind is its own stage's plan entry; an
+        // entry filed under any other stage is ignored.
+        const auto mbs =
+            static_cast<std::size_t>(sched.totalMicrobatches());
+        instances.assign(mdl.numLayers() * mbs, InstanceState{});
+        for (const auto &st : part.stages) {
+            for (std::size_t l = st.firstLayer; l <= st.lastLayer; ++l) {
+                const Kind kind =
+                    plan.kindFor({st.index, static_cast<int>(l)});
+                for (std::size_t m = 0; m < mbs; ++m)
+                    instances[l * mbs + m].kind = kind;
+            }
+        }
 
         taskDone.assign(sched.tasks.size(), 0);
         arrivalDone.assign(sched.tasks.size(), 0);
@@ -1029,13 +1071,13 @@ struct Executor::Impl
         InstanceKey key{{t.stage, static_cast<int>(pos)},
                         t.microbatch};
         NodeState &ns = nsOfStage(t.stage);
-        ns.genTime[key] = ns.engine->now();
+        InstanceState &inst = instance(key);
+        inst.genTime = ns.engine->now();
 
         const model::Layer &layer = mdl.layer(pos);
         const int gpu = gpuOf(t.stage);
-        Kind kind = plan.kindFor(key.ref);
 
-        switch (kind) {
+        switch (inst.kind) {
           case Kind::None:
             break;
           case Kind::Recompute: {
@@ -1043,7 +1085,7 @@ struct Executor::Impl
             gpuFree(gpu, TensorKind::Activation,
                     layer.activationStash);
             gpuAlloc(gpu, TensorKind::Activation, layer.outputBytes);
-            ns.inState[key] = InState::NotNeeded;
+            inst.in = InState::NotNeeded;
             if (countsForSavings(t.minibatch)) {
                 ns.savings.recompute +=
                     layer.activationStash - layer.outputBytes;
@@ -1118,7 +1160,7 @@ struct Executor::Impl
                                static_cast<double>(bytes));
         auto &rec = ns.swapTable.beginSwapOut(key, Kind::D2dSwap,
                                               stripe_plan, bytes);
-        ns.inState[key] = InState::Pending;
+        instance(key).in = InState::Pending;
         pendingFreeBytes[static_cast<std::size_t>(gpu)] += bytes;
 
         auto attempt = std::make_shared<SwapOutAttempt>();
@@ -1307,10 +1349,11 @@ struct Executor::Impl
         }
         pendingFreeBytes[static_cast<std::size_t>(gpu)] -= bytes;
         ns.swapTable.abort(key);
-        ns.inState.erase(key);
+        InstanceState &inst = instance(key);
+        inst.in = InState::NotNeeded;
 
         if (startHostSwapOut(key, gpu, bytes, at.minibatch)) {
-            ns.kindOverride[key] = Kind::GpuCpuSwap;
+            inst.kind = Kind::GpuCpuSwap;
             ++ns.faults.fallbackGpuCpuSwap;
             ns.obsData.metrics.add(mFaultFallbackSwap,
                                    ns.engine->now(), 1.0);
@@ -1326,7 +1369,7 @@ struct Executor::Impl
         // pass, exactly like a planned Kind::Recompute instance.
         const model::Layer &layer =
             mdl.layer(static_cast<std::size_t>(key.ref.layer));
-        ns.kindOverride[key] = Kind::Recompute;
+        inst.kind = Kind::Recompute;
         ++ns.faults.fallbackRecompute;
         ns.obsData.metrics.add(mFaultFallbackRecompute,
                                ns.engine->now(), 1.0);
@@ -1337,7 +1380,7 @@ struct Executor::Impl
             gpu);
         gpuFree(gpu, TensorKind::Activation, layer.activationStash);
         gpuAlloc(gpu, TensorKind::Activation, layer.outputBytes);
-        ns.inState[key] = InState::NotNeeded;
+        inst.in = InState::NotNeeded;
         if (countsForSavings(at.minibatch)) {
             ns.savings.recompute +=
                 layer.activationStash - layer.outputBytes;
@@ -1345,10 +1388,8 @@ struct Executor::Impl
 
         // A backward chain may already be stalled on the old swap-in;
         // the tensor will now be recomputed, so resume it.
-        auto blocked = ns.blockedOn.find(key);
-        if (blocked != ns.blockedOn.end()) {
-            BwdChain *chain = blocked->second;
-            ns.blockedOn.erase(blocked);
+        if (BwdChain *chain = inst.blockedOn) {
+            inst.blockedOn = nullptr;
             if (chain->stallStart >= 0) {
                 report
                     .overheads[static_cast<std::size_t>(
@@ -1394,7 +1435,7 @@ struct Executor::Impl
         auto &rec0 = ns.swapTable.beginSwapOut(key, Kind::GpuCpuSwap,
                                                {}, bytes);
         rec0.onNvme = to_nvme;
-        ns.inState[key] = InState::Pending;
+        instance(key).in = InState::Pending;
         pendingFreeBytes[static_cast<std::size_t>(gpu)] += bytes;
         fabric->gpuToHost(
             gpu, bytes, [this, key, gpu, minibatch]() {
@@ -1440,27 +1481,9 @@ struct Executor::Impl
         runBwdLayer(it->second);
     }
 
-    InState
-    swapInStateOf(NodeState &ns, InstanceKey key) const
-    {
-        auto it = ns.inState.find(key);
-        return it == ns.inState.end() ? InState::NotNeeded
-                                      : it->second;
-    }
-
-    /** Planned kind, unless the fault ladder demoted this instance. */
-    Kind
-    effectiveKindFor(NodeState &ns, InstanceKey key) const
-    {
-        auto it = ns.kindOverride.find(key);
-        return it != ns.kindOverride.end() ? it->second
-                                           : plan.kindFor(key.ref);
-    }
-
     void
     issuePrefetches(BwdChain &chain)
     {
-        NodeState &ns = nsOfStage(chain.task->stage);
         while (chain.nextPrefetch < chain.layersRev.size() &&
                chain.inflightSwapIns < cfg.swapInLookahead) {
             std::size_t pos = chain.layersRev[chain.nextPrefetch];
@@ -1468,7 +1491,7 @@ struct Executor::Impl
                              static_cast<int>(pos)},
                             chain.task->microbatch};
             ++chain.nextPrefetch;
-            if (swapInStateOf(ns, key) != InState::Pending)
+            if (instance(key).in != InState::Pending)
                 continue;
             issueSwapIn(chain, key);
         }
@@ -1481,7 +1504,7 @@ struct Executor::Impl
         auto *rec = ns.swapTable.find(key);
         if (!rec || rec->state != SwapState::Resident)
             return;  // swap-out still in flight; will stall later
-        ns.inState[key] = InState::InFlight;
+        instance(key).in = InState::InFlight;
         ++chain.inflightSwapIns;
         ns.obsData.metrics.add(rec->kind == Kind::D2dSwap ? mD2dIn
                                                           : mSwapIn,
@@ -1663,12 +1686,9 @@ struct Executor::Impl
     void
     wakeIfBlocked(InstanceKey key)
     {
-        NodeState &ns = nsOfStage(key.ref.stage);
-        auto blocked = ns.blockedOn.find(key);
-        if (blocked != ns.blockedOn.end() &&
-            swapInStateOf(ns, key) == InState::Pending) {
-            issueSwapIn(*blocked->second, key);
-        }
+        const InstanceState &inst = instance(key);
+        if (inst.blockedOn != nullptr && inst.in == InState::Pending)
+            issueSwapIn(*inst.blockedOn, key);
     }
 
     void
@@ -1709,12 +1729,11 @@ struct Executor::Impl
             }
         }
         ns.swapTable.complete(key);
-        ns.inState[key] = InState::Done;
+        InstanceState &inst = instance(key);
+        inst.in = InState::Done;
 
-        auto blocked = ns.blockedOn.find(key);
-        if (blocked != ns.blockedOn.end()) {
-            BwdChain *chain = blocked->second;
-            ns.blockedOn.erase(blocked);
+        if (BwdChain *chain = inst.blockedOn) {
+            inst.blockedOn = nullptr;
             --chain->inflightSwapIns;
             if (chain->stallStart >= 0) {
                 report
@@ -1727,14 +1746,13 @@ struct Executor::Impl
             issuePrefetches(*chain);
             runBwdLayer(*chain);
         } else {
-            // Not blocked: find the chain to decrement its counter.
-            for (auto &[id, chain] : ns.bwdChains) {
-                if (chain.task->stage == key.ref.stage &&
-                    chain.task->microbatch == key.microbatch) {
-                    --chain.inflightSwapIns;
-                    issuePrefetches(chain);
-                    break;
-                }
+            // Not blocked: the instance's backward task owns the
+            // chain whose in-flight counter this swap-in holds.
+            auto it = ns.bwdChains.find(
+                sched.bwdId(key.ref.stage, key.microbatch));
+            if (it != ns.bwdChains.end()) {
+                --it->second.inflightSwapIns;
+                issuePrefetches(it->second);
             }
         }
     }
@@ -1752,7 +1770,8 @@ struct Executor::Impl
         std::size_t pos = chain.layersRev[chain.next];
         InstanceKey key{{t.stage, static_cast<int>(pos)},
                         t.microbatch};
-        InState st = swapInStateOf(ns, key);
+        InstanceState &inst = instance(key);
+        const InState st = inst.in;
 
         if (st == InState::Pending || st == InState::InFlight) {
             // Needed tensor is off-device: stall the compute queue.
@@ -1764,7 +1783,7 @@ struct Executor::Impl
                     issueSwapIn(chain, key);
             }
             chain.stallStart = ns.engine->now();
-            ns.blockedOn[key] = &chain;
+            inst.blockedOn = &chain;
             return;
         }
 
@@ -1773,15 +1792,12 @@ struct Executor::Impl
         // The model outlives the run, so the pointer is stable.
         const model::Layer *layer = &mdl.layer(pos);
         const int gpu = gpuOf(t.stage);
-        Kind kind = effectiveKindFor(ns, key);
+        const Kind kind = inst.kind;
 
-        if (cfg.recordLiveness) {
-            auto gen = ns.genTime.find(key);
-            if (gen != ns.genTime.end()) {
-                ns.liveness.record(key.ref, layer->activationStash,
-                                   t.microbatch, gen->second,
-                                   ns.engine->now());
-            }
+        if (cfg.recordLiveness && inst.genTime >= 0) {
+            ns.liveness.record(key.ref, layer->activationStash,
+                               t.microbatch, inst.genTime,
+                               ns.engine->now());
         }
 
         auto submit_bwd = [this, &chain, gpu, layer]() {

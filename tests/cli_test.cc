@@ -2,7 +2,8 @@
  * @file
  * Regression tests driving the real mpress_cli and mpress-verify
  * binaries (paths injected as MPRESS_CLI_PATH / MPRESS_VERIFY_PATH at
- * compile time).
+ * compile time), and the example programs that take a model preset
+ * (MPRESS_OOM_RESCUE_PATH / MPRESS_ZERO_COMPARISON_PATH).
  *
  * The exit-code contract is part of the CLI's interface:
  *   0  success
@@ -177,6 +178,24 @@ TEST(CliExitCodes, WellFormedRunExits0)
         " --mb-per-mini 2");
     EXPECT_EQ(res.exitCode, 0) << res.output;
     EXPECT_NE(res.output.find("samples/s"), std::string::npos);
+}
+
+TEST(ExampleExitCodes, OomRescueRejectsAnUnknownPresetBeforeOutput)
+{
+    // The preset used to be resolved inside the strategy loop, after
+    // the header was printed, and ended in util::fatal.
+    RunResult res = runBinary(MPRESS_OOM_RESCUE_PATH, "bogus-9b");
+    EXPECT_EQ(res.exitCode, 1) << res.output;
+    EXPECT_EQ(res.output,
+              "oom_rescue: unknown model preset 'bogus-9b'\n");
+}
+
+TEST(ExampleExitCodes, ZeroComparisonRejectsAnUnknownPresetBeforeOutput)
+{
+    RunResult res = runBinary(MPRESS_ZERO_COMPARISON_PATH, "bogus-9b");
+    EXPECT_EQ(res.exitCode, 1) << res.output;
+    EXPECT_EQ(res.output,
+              "zero_comparison: unknown model preset 'bogus-9b'\n");
 }
 
 TEST(ServeCliParity, ServedPlanEqualsSavedPlanBytes)

@@ -257,3 +257,82 @@ TEST(Metadata, DistinguishesMicrobatches)
     EXPECT_NE(table.find({{0, 5}, 1}), nullptr);
     EXPECT_EQ(table.find({{0, 5}, 0}), nullptr);
 }
+
+TEST(Metadata, KeyBeyondTheGridGrowsIt)
+{
+    // The dense slots grow on demand: a lookup past the grid is a
+    // plain miss, and a swap-out there extends it without disturbing
+    // the records already held.
+    cp::SwapMetadataTable table;
+    table.beginSwapOut({{0, 1}, 0}, cp::Kind::GpuCpuSwap, {}, 10);
+    EXPECT_EQ(table.find({{3, 90}, 40}), nullptr);
+    EXPECT_EQ(table.find({{0, 1}, 7}), nullptr);
+    auto &far = table.beginSwapOut({{3, 90}, 40}, cp::Kind::D2dSwap,
+                                   {}, 30);
+    EXPECT_EQ(table.size(), 2u);
+    EXPECT_EQ(table.find({{3, 90}, 40}), &far);
+    EXPECT_EQ(far.bytes, 30);
+    ASSERT_NE(table.find({{0, 1}, 0}), nullptr);
+    EXPECT_EQ(table.find({{0, 1}, 0})->bytes, 10);
+    EXPECT_EQ(table.find({{3, 90}, 39}), nullptr);
+    EXPECT_EQ(table.find({{3, 89}, 40}), nullptr);
+}
+
+TEST(Metadata, ReSwapOutAfterCompleteReusesTheSlot)
+{
+    cp::SwapMetadataTable table;
+    cp::InstanceKey key{{2, 4}, 3};
+    auto &first = table.beginSwapOut(key, cp::Kind::D2dSwap,
+                                     {{{5, 60, 1}}}, 60);
+    table.markResident(key);
+    first.onNvme = true;
+    table.complete(key);
+    EXPECT_TRUE(table.empty());
+
+    // The retired record is handed out again, reset to a fresh
+    // swap-out of the new kind.
+    auto &second =
+        table.beginSwapOut(key, cp::Kind::GpuCpuSwap, {}, 20);
+    EXPECT_EQ(&second, &first);
+    EXPECT_EQ(table.size(), 1u);
+    EXPECT_EQ(second.kind, cp::Kind::GpuCpuSwap);
+    EXPECT_EQ(second.state, cp::SwapState::SwappingOut);
+    EXPECT_EQ(second.bytes, 20);
+    EXPECT_TRUE(second.plan.empty());
+    EXPECT_FALSE(second.onNvme);
+}
+
+TEST(Metadata, AbortDropsTheRecordFromSize)
+{
+    cp::SwapMetadataTable table;
+    table.beginSwapOut({{0, 2}, 0}, cp::Kind::D2dSwap, {}, 10);
+    table.beginSwapOut({{0, 2}, 1}, cp::Kind::D2dSwap, {}, 10);
+    table.beginSwapOut({{0, 3}, 0}, cp::Kind::GpuCpuSwap, {}, 10);
+    EXPECT_EQ(table.size(), 3u);
+    table.abort({{0, 2}, 1});
+    EXPECT_EQ(table.size(), 2u);
+    EXPECT_EQ(table.find({{0, 2}, 1}), nullptr);
+    EXPECT_NE(table.find({{0, 2}, 0}), nullptr);
+    EXPECT_DEATH(table.abort({{0, 2}, 1}), "not found");
+    table.abort({{0, 2}, 0});
+    table.complete({{0, 3}, 0});
+    EXPECT_TRUE(table.empty());
+}
+
+TEST(Metadata, SameLayerOtherStageMisses)
+{
+    // The stage is not a grid coordinate but is part of the key:
+    // (stage 1, layer 5) never aliases a live (stage 0, layer 5).
+    cp::SwapMetadataTable table;
+    table.beginSwapOut({{0, 5}, 2}, cp::Kind::GpuCpuSwap, {}, 10);
+    EXPECT_NE(table.find({{0, 5}, 2}), nullptr);
+    EXPECT_EQ(table.find({{1, 5}, 2}), nullptr);
+    EXPECT_DEATH(table.markResident({{1, 5}, 2}), "not found");
+    EXPECT_DEATH(table.complete({{1, 5}, 2}), "not found");
+    // A layer belongs to one stage, so a second stage claiming the
+    // same live (layer, microbatch) is refused, not aliased.
+    EXPECT_DEATH(
+        table.beginSwapOut({{1, 5}, 2}, cp::Kind::GpuCpuSwap, {}, 10),
+        "held by stage 0");
+    EXPECT_EQ(table.size(), 1u);
+}

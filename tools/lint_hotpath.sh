@@ -12,6 +12,11 @@
 #     src/compaction and src/analysis may observe
 #  4. the engine dispatch loops (Engine::run / Engine::runUntil) never
 #     allocate or grow containers -- they only pop, invoke and recycle
+#  5. no tree or hash container keyed by InstanceKey or TensorRef in
+#     src/runtime/ or src/compaction/metadata.* -- the executor's
+#     per-instance state and the swap table are dense arrays indexed
+#     by (layer, microbatch), and one tree node per event was the
+#     dominant cost of a planner trial
 #
 # Exits non-zero on the first violated rule, printing every offending
 # line.  Comments are stripped before matching so prose cannot trip the
@@ -91,9 +96,25 @@ if [ -n "$hits" ]; then
            "$hits"
 fi
 
+# Rule 5: per-instance executor state stays dense.
+keyed='std::(unordered_)?(map|set|multimap|multiset)<[[:space:]]*'
+keyed+='([a-z_]+::)*(InstanceKey|TensorRef)\b'
+hits=""
+for f in src/runtime/*.[hc][hc] src/compaction/metadata.[hc][hc]; do
+    [ -e "$f" ] || continue
+    h=$(stripped_grep "$keyed" "$f")
+    if [ -n "$h" ]; then
+        hits+="$h"$'\n'
+    fi
+done
+if [ -n "$hits" ]; then
+    report "InstanceKey/TensorRef-keyed container on the executor path" \
+           "$hits"
+fi
+
 if [ "$fail" = 1 ]; then
     echo "lint-hotpath: FAILED" >&2
     exit 1
 fi
 echo "lint-hotpath: ok (sim core allocation-free, no wall clock in" \
-     "deterministic modules)"
+     "deterministic modules, dense per-instance executor state)"
